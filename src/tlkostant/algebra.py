@@ -4,11 +4,10 @@ A ``TLElement`` is a finite sum of diagrams with Laurent coefficients;
 multiplying basis diagrams stacks them and converts each closed loop into
 a factor of delta = q + q^-1.
 
-Cells are read off the diagram boundaries.  Which boundary goes with the
-left preorder is not fixed by fiat: ``calibrated_left_side`` compares the
-arc-set partition on each boundary against the recording-tableau partition
-at rank 4 and keeps the side that matches.  All preorder and cell
-functions consult that calibration.
+Cells are read off the diagram boundaries.  The top arcs of the diagram
+of w come from the recording tableau of w, so they give the left side:
+the left preorder, left cells and nonvanishing compare top arcs, the
+right preorder and right cells compare bottom arcs.
 """
 
 from __future__ import annotations
@@ -134,63 +133,13 @@ def basis_of(p: Permutation) -> TLElement:
     return TLElement.from_diagram(_diag(p))
 
 
-def tle_multiply(a: TLElement, b: TLElement) -> TLElement:
-    return a * b
-
-
-def coefficient_of(e: TLElement, d: TLDiagram) -> LaurentPoly:
-    """The coefficient of d in e, zero if absent."""
-    if e.n != d.n:
-        raise ValueError(f"rank mismatch: {e.n} != {d.n}")
-    return e.coefficient_of(d)
-
-
-def _partition(elements, key):
-    groups: dict = {}
-    for w in elements:
-        groups.setdefault(key(w), []).append(w)
-    return frozenset(frozenset(g) for g in groups.values())
-
-
-@lru_cache(maxsize=1)
-def calibrated_left_side() -> str:
-    """The boundary whose arc sets cut out left cells: "top" or "bottom".
-
-    Left cells of fully commutative elements are the classes of equal
-    recording tableau.  Exactly one boundary reproduces that partition by
-    arc-set equality at rank 4; the match is recomputed here rather than
-    hard-coded so a convention change upstream cannot silently flip it.
-    """
-    fc = enumerate_fc(4)
-    by_q = _partition(fc, lambda w: rs_tableaux(w)[1])
-    by_top = _partition(fc, lambda w: top_arcs(_diag(w)))
-    by_bottom = _partition(fc, lambda w: bottom_arcs(_diag(w)))
-    if by_q == by_top and by_q != by_bottom:
-        return "top"
-    if by_q == by_bottom and by_q != by_top:
-        return "bottom"
-    raise RuntimeError("left-cell calibration is ambiguous at rank 4")
-
-
-def side_arcs(d: TLDiagram, side: str) -> frozenset[tuple[int, int]]:
-    if side == "top":
-        return top_arcs(d)
-    if side == "bottom":
-        return bottom_arcs(d)
-    raise ValueError(f"side must be 'top' or 'bottom', got {side!r}")
-
-
-def _other(side: str) -> str:
-    return "bottom" if side == "top" else "top"
-
-
 def _require_fc(p: Permutation) -> None:
     if not is_fully_commutative(p):
         raise ValueError(f"{p.images} is not fully commutative")
 
 
 def leq_L(x: Permutation, y: Permutation) -> bool:
-    """Left preorder: arcs of x on the calibrated side all appear in y.
+    """Left preorder: every top arc of the diagram of x is one of y.
 
     >>> from .permutations import Permutation
     >>> leq_L(Permutation.identity(3), Permutation((2, 1, 3)))
@@ -200,32 +149,29 @@ def leq_L(x: Permutation, y: Permutation) -> bool:
     """
     _require_fc(x)
     _require_fc(y)
-    side = calibrated_left_side()
-    return side_arcs(_diag(x), side) <= side_arcs(_diag(y), side)
+    return top_arcs(_diag(x)) <= top_arcs(_diag(y))
 
 
 def leq_R(x: Permutation, y: Permutation) -> bool:
-    """Right preorder: same as leq_L on the opposite boundary."""
+    """Right preorder: every bottom arc of the diagram of x is one of y."""
     _require_fc(x)
     _require_fc(y)
-    side = _other(calibrated_left_side())
-    return side_arcs(_diag(x), side) <= side_arcs(_diag(y), side)
+    return bottom_arcs(_diag(x)) <= bottom_arcs(_diag(y))
 
 
 def cells(n: int, kind: str) -> tuple[frozenset[Permutation], ...]:
     """Partition the fully commutative elements of rank n into cells.
 
-    kind "left" groups by calibrated-side arcs, "right" by the other
-    boundary, "two_sided" by a-value.  Cells are returned in a
-    deterministic order (by their lexicographically smallest member).
+    kind "left" groups by top arcs (equal recording tableau), "right" by
+    bottom arcs (equal insertion tableau), "two_sided" by a-value.  Cells
+    are returned in a deterministic order (by their lexicographically
+    smallest member).
     """
     fc = enumerate_fc(n)
     if kind == "left":
-        side = calibrated_left_side()
-        key = lambda w: side_arcs(_diag(w), side)  # noqa: E731
+        key = lambda w: top_arcs(_diag(w))  # noqa: E731
     elif kind == "right":
-        side = _other(calibrated_left_side())
-        key = lambda w: side_arcs(_diag(w), side)  # noqa: E731
+        key = lambda w: bottom_arcs(_diag(w))  # noqa: E731
     elif kind == "two_sided":
         key = a_value
     else:
@@ -266,8 +212,8 @@ def left_cell_involution(w: Permutation) -> Permutation:
 def theta_nonzero(x: Permutation, y: Permutation) -> bool:
     """Whether the translation functor of x keeps the simple of y alive.
 
-    Holds when the calibrated-side arcs of the flipped diagram of x all
-    appear on that side of the diagram of y.
+    Holds when every top arc of the flipped diagram of x (the bottom
+    arcs of x, mirrored) is a top arc of the diagram of y.
 
     >>> from .permutations import Permutation
     >>> theta_nonzero(Permutation((1, 3, 2, 4)), Permutation((3, 4, 1, 2)))
@@ -277,8 +223,7 @@ def theta_nonzero(x: Permutation, y: Permutation) -> bool:
     """
     _require_fc(x)
     _require_fc(y)
-    side = calibrated_left_side()
-    return side_arcs(flip(_diag(x)), side) <= side_arcs(_diag(y), side)
+    return top_arcs(flip(_diag(x))) <= top_arcs(_diag(y))
 
 
 if __name__ == "__main__":

@@ -133,7 +133,10 @@ def decompose_into_specials(d: Permutation):
     product = Permutation.identity(d.n)
     for f in factors:
         product = product * f.permutation()
-    assert product == d, "factor product does not rebuild the involution"
+    if product != d:
+        raise RuntimeError(
+            f"factor product {product.images} does not rebuild {d.images}"
+        )
     return tuple(factors)
 
 
@@ -175,9 +178,13 @@ def is_kostant(w: Permutation) -> KostantVerdict:
         raise ValueError(f"{w.images} is not fully commutative")
     positive = _separated(diagram_of_fc(w))
     if positive:
-        factors = decompose_into_specials(w) if w.is_involution() else None
+        factors = None
         if w.is_involution():
-            assert factors is not None, "separation holds but no factorization"
+            factors = decompose_into_specials(w)
+            if factors is None:
+                raise RuntimeError(
+                    f"{w.images} is separated but has no special factorization"
+                )
         return KostantVerdict(True, factors, None)
     d = w if w.is_involution() else left_cell_involution(w)
     return KostantVerdict(False, None, negative_witness(d))
@@ -225,7 +232,10 @@ def negative_witness(d: Permutation) -> tuple[Permutation, Permutation]:
         for pa, pb in pairs
         if not any(c in in_pair for c in enclosing(pa))
     ]
-    assert admissible, "no admissible adjacent pair in a negative diagram"
+    if not admissible:
+        raise RuntimeError(
+            f"{d.images} is negative but has no admissible adjacent arc pair"
+        )
     (a1, b1), (a2, b2) = min(
         admissible, key=lambda p: (len(enclosing(p[0])), p[0])
     )

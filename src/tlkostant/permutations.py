@@ -53,6 +53,11 @@ class Permutation:
                 raise ValueError(f"position {pos}: image {v} appears twice")
             seen[v] = True
 
+    def __reduce__(self):
+        # rebuild through the constructor: frozen slotted dataclasses only
+        # pickle by default from Python 3.11 on
+        return (Permutation, (self.images,))
+
     @classmethod
     def identity(cls, n: int) -> Permutation:
         if n < 1:

@@ -13,7 +13,6 @@ factor of 2.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +21,7 @@ from itertools import chain, combinations
 from .algebra import _diag, theta_nonzero
 from .diagrams import TLDiagram, arc_count, compose, flip, top_arcs
 from .kostant import is_kostant, negative_witness
-from .permutations import Permutation, a_value, enumerate_fc, is_fully_commutative
+from .permutations import Permutation, a_value, enumerate_fc
 
 
 @lru_cache(maxsize=None)
@@ -206,39 +205,6 @@ def _report_for(d: Permutation, full_scan: bool) -> DistinguishReport:
     )
 
 
-def _worker(args) -> tuple:
-    n, images, full_scan = args
-    report = _report_for(Permutation(images), full_scan)
-    return _plain(report)
-
-
-def _plain(r: DistinguishReport) -> tuple:
-    pair = lambda p: (p[0].images, p[1].images)  # noqa: E731
-    return (
-        r.d.images,
-        r.positive,
-        r.scan_complete,
-        r.pairs_checked,
-        tuple(pair(f) for f in r.failures),
-        tuple((pair(xy), pair(uv)) for xy, uv in r.witnesses),
-        pair(r.witness_pair) if r.witness_pair else None,
-        r.postconditions_failed,
-    )
-
-
-def _unplain(row: tuple) -> DistinguishReport:
-    d, positive, complete, pairs, failures, witnesses, wpair, bad = row
-    perm = lambda im: Permutation(tuple(im))  # noqa: E731
-    pair = lambda p: (perm(p[0]), perm(p[1]))  # noqa: E731
-    return DistinguishReport(
-        perm(d), positive, complete, pairs,
-        tuple(pair(f) for f in failures),
-        tuple((pair(xy), pair(uv)) for xy, uv in witnesses),
-        pair(wpair) if wpair else None,
-        tuple(bad) if bad is not None else None,
-    )
-
-
 def verify_classification(
     n: int, full_scan_limit: int = 5, workers: int = 1
 ) -> VerifySummary:
@@ -253,18 +219,13 @@ def verify_classification(
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     full_scan = n <= full_scan_limit
-    tasks = [
-        (n, d.images, full_scan)
-        for d in enumerate_fc(n, involutions_only=True)
-    ]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    involutions = enumerate_fc(n, involutions_only=True)
+    scans = [full_scan] * len(involutions)
+    if workers > 1 and len(involutions) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, tasks))
+            reports = tuple(pool.map(_report_for, involutions, scans))
     else:
-        rows = [_worker(t) for t in tasks]
-    reports = tuple(_unplain(row) for row in sorted(rows))
+        reports = tuple(map(_report_for, involutions, scans))
     return VerifySummary(n, full_scan_limit, reports)
 
 

@@ -21,6 +21,26 @@ from tlkostant import (
 from tlkostant.permutations import _two_row_tableaux
 
 
+def ratio_summand_form(n):
+    # per-a summand shape: (n+1) ki^2 C(n,a) / (C(n-a+1,a) C(2n,n));
+    # algebraically equal to summing k_n^a over the total element count
+    total = Fraction(0)
+    for a in range(n // 2 + 1):
+        total += Fraction(
+            (n + 1) * math.comb(n - a, a) ** 2 * math.comb(n, a),
+            math.comb(n - a + 1, a) * math.comb(2 * n, n),
+        )
+    return total
+
+
+def fixed_a_closed_form(n, a):
+    num = den = 1
+    for t in range(a):
+        num *= n - a + 1 - t
+        den *= n - t
+    return Fraction(num, den)
+
+
 def test_catalan_values():
     assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert catalan(10) == 16796
@@ -134,6 +154,13 @@ def test_ratio_trends_and_pins():
     ks = [row.k_over_m for row in report.rows if row.n >= 4]
     assert all(a > b for a, b in zip(ks, ks[1:]))
     assert by_n[30].k_over_m < Fraction(1, 100)
+
+
+def test_ratio_rows_match_the_closed_forms():
+    for row in ratio_report(60).rows:
+        assert row.k_over_m == ratio_summand_form(row.n)
+        for a, value in row.fixed_a.items():
+            assert value == fixed_a_closed_form(row.n, a)
 
 
 def test_ratio_report_rejects_tiny_bound():

@@ -13,9 +13,11 @@ from tlkostant import (
     arc_count,
     arcs,
     bottom_arcs,
+    catalan,
     compose,
     diagram_of_fc,
     enumerate_fc,
+    fc_of_diagram,
     flip,
     generator,
     identity_diagram,
@@ -30,6 +32,28 @@ from tlkostant.diagrams import from_json_dict, through_tops, to_json_dict
 
 def all_diagrams(n):
     return [diagram_of_fc(p) for p in enumerate_fc(n)]
+
+
+def noncrossing_matchings(points):
+    """Every noncrossing perfect matching of points listed in cyclic order."""
+    if not points:
+        yield []
+        return
+    for k in range(1, len(points), 2):
+        for inside in noncrossing_matchings(points[1:k]):
+            for outside in noncrossing_matchings(points[k + 1:]):
+                yield [(points[0], points[k])] + inside + outside
+
+
+def all_planar_matchings(n):
+    # planar diagrams are the noncrossing matchings of the boundary cycle
+    # T1..Tn, Bn..B1; built here without going through any permutation
+    cycle = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
+    for matching in noncrossing_matchings(cycle):
+        pairs = [0] * (2 * n)
+        for a, b in matching:
+            pairs[a], pairs[b] = b, a
+        yield TLDiagram(n, pairs)
 
 
 def all_reduced_words(p):
@@ -118,14 +142,23 @@ def test_diagram_is_independent_of_reduced_word(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fc_diagram_round_trip(n):
-    from tlkostant import fc_of_diagram
-
     seen = set()
     for p in enumerate_fc(n):
         d = diagram_of_fc(p)
         assert fc_of_diagram(d) == p
         seen.add(d)
     assert len(seen) == len(enumerate_fc(n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_planar_matching_is_an_fc_diagram(n):
+    # Catalan(n) planar matchings, each the diagram of its preimage: the
+    # map from FC elements to diagrams is onto, so fc_of_diagram needs no
+    # rebuild check
+    matchings = list(all_planar_matchings(n))
+    assert len(set(matchings)) == len(matchings) == catalan(n)
+    for d in matchings:
+        assert diagram_of_fc(fc_of_diagram(d)) == d
 
 
 def test_diagram_of_fc_rejects_non_fc():
