@@ -19,7 +19,6 @@ from .diagrams import (
     bottom_arcs,
     compose,
     diagram_of_fc,
-    flip,
     top_arcs,
 )
 from .laurent import LaurentPoly
@@ -212,8 +211,8 @@ def left_cell_involution(w: Permutation) -> Permutation:
 def theta_nonzero(x: Permutation, y: Permutation) -> bool:
     """Whether the translation functor of x keeps the simple of y alive.
 
-    Holds when every top arc of the flipped diagram of x (the bottom
-    arcs of x, mirrored) is a top arc of the diagram of y.
+    Holds when every bottom arc of the diagram of x is a top arc of the
+    diagram of y (the bottom arcs of x are the top arcs of its flip).
 
     >>> from .permutations import Permutation
     >>> theta_nonzero(Permutation((1, 3, 2, 4)), Permutation((3, 4, 1, 2)))
@@ -223,7 +222,7 @@ def theta_nonzero(x: Permutation, y: Permutation) -> bool:
     """
     _require_fc(x)
     _require_fc(y)
-    return top_arcs(flip(_diag(x))) <= top_arcs(_diag(y))
+    return bottom_arcs(_diag(x)) <= top_arcs(_diag(y))
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .permutations import Permutation, Word, is_fully_commutative, word_to_permu
 from .verify import summary_csv_rows, summary_json_dict, verify_classification
 
 BRUTE_CAP = 8
-VERIFY_CAP = 7
+VERIFY_CAP = 8
 
 
 def _fail(message: str) -> int:
@@ -166,6 +166,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     if not 2 <= args.n <= VERIFY_CAP:
         return _fail(f"rank must be in 2..{VERIFY_CAP}, got {args.n}")
+    if args.workers < 1:
+        return _fail(f"workers must be at least 1, got {args.workers}")
     summary = verify_classification(
         args.n, full_scan_limit=args.full_scan_limit, workers=args.workers
     )

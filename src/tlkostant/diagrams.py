@@ -227,21 +227,33 @@ def arcs(
 
 
 def top_arcs(d: TLDiagram) -> frozenset[tuple[int, int]]:
-    return frozenset(a.ends for a in arcs(d)[0])
+    """Top arcs of d as 1-based position pairs (i, j), i < j."""
+    n = d.n
+    return frozenset(
+        (s + 1, p + 1) for s, p in enumerate(d.pairs[:n]) if s < p < n
+    )
 
 
 def bottom_arcs(d: TLDiagram) -> frozenset[tuple[int, int]]:
-    return frozenset(a.ends for a in arcs(d)[1])
+    """Bottom arcs of d as 1-based position pairs (i, j), i < j."""
+    n = d.n
+    return frozenset(
+        (s + 1, p - n + 1)
+        for s, p in enumerate(d.pairs[n:])
+        if s + n < p
+    )
 
 
 def through_tops(d: TLDiagram) -> tuple[int, ...]:
     """Top-row positions carrying a through strand, in increasing order."""
-    return tuple(sorted(a.ends[0] for a in arcs(d)[2]))
+    n = d.n
+    return tuple(s + 1 for s, p in enumerate(d.pairs[:n]) if p >= n)
 
 
 def arc_count(d: TLDiagram) -> int:
     """Number of top arcs (equals the number of bottom arcs)."""
-    return len(arcs(d)[0])
+    n = d.n
+    return sum(1 for p in d.pairs[:n] if p < n) // 2
 
 
 def _match_second_row(tab: Tableau, pairs: list[int], offset: int) -> list[int]:

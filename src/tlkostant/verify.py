@@ -15,18 +15,117 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .algebra import _diag, theta_nonzero
-from .diagrams import TLDiagram, arc_count, compose, flip, top_arcs
+from .diagrams import (
+    TLDiagram,
+    arc_count,
+    bottom_arcs,
+    compose,
+    flip,
+    top_arcs,
+)
 from .kostant import is_kostant, negative_witness
 from .permutations import Permutation, a_value, enumerate_fc
 
 
-@lru_cache(maxsize=None)
-def _mul(a: TLDiagram, b: TLDiagram) -> tuple[TLDiagram, int]:
-    return compose(a, b)
+class _Basis:
+    """Integer index of rank-n diagrams for one oracle run.
+
+    The diagrams of ``elements`` (FC(n) in enumeration order for a full
+    scan) take the indices 0, 1, ...; any other diagram met as a product
+    gets the next free index.  Products are filled in on first use as
+    (index, loops), so the scan compares ints.  A basis lives as long as
+    the call, or the shard of a verify run, that made it.
+    """
+
+    def __init__(self, n: int, elements=()):
+        self.n = n
+        self.elements = tuple(elements)
+        self.diagrams: list[TLDiagram] = []
+        self.index: dict[TLDiagram, int] = {}
+        self.top: list[frozenset] = []
+        self.bottom: list[frozenset] = []
+        self._products: dict[tuple[int, int], tuple[int, int]] = {}
+        for p in self.elements:
+            self.of(p)
+
+    def intern(self, dg: TLDiagram) -> int:
+        i = self.index.get(dg)
+        if i is None:
+            i = self.index[dg] = len(self.diagrams)
+            self.diagrams.append(dg)
+            self.top.append(top_arcs(dg))
+            self.bottom.append(bottom_arcs(dg))
+        return i
+
+    def of(self, p: Permutation) -> int:
+        if p.n != self.n:
+            raise ValueError(f"rank mismatch: {p.n} != {self.n}")
+        return self.intern(_diag(p))
+
+    def product(self, a: int, b: int) -> tuple[int, int]:
+        """(index of a.b, closed loops) for diagram indices a, b."""
+        hit = self._products.get((a, b))
+        if hit is None:
+            dg, loops = compose(self.diagrams[a], self.diagrams[b])
+            hit = self._products[a, b] = (self.intern(dg), loops)
+        return hit
+
+    def multiplicity(self, d: int, v: int, u: int, x: int) -> int:
+        """Coefficient of diagram d in e_v (e_u e_x), at q = 1."""
+        m, loops1 = self.product(u, x)
+        c, loops2 = self.product(v, m)
+        return 2 ** (loops1 + loops2) if c == d else 0
+
+    def separates(self, d: int, v: int, u: int, x: int, y: int) -> bool:
+        return self.multiplicity(d, v, u, x) != self.multiplicity(d, v, u, y)
+
+    def first_separator(self, d: int, x: int, y: int):
+        """First (u, v) over all pairs of ``elements``, u outer, whose
+        triple products against d separate x from y, or None.
+
+        Stacking keeps the top arcs of the upper factor and the bottom
+        arcs of the lower one, so e_d occurs in e_v (e_u e_x) only if
+        top(v) is within top(d) and bottom(u.x) within bottom(d).  Pairs
+        failing that for both x and y give 0 = 0 and are skipped; the
+        rest are visited in the same order, so the first separator is
+        the one the exhaustive scan finds.
+        """
+        top, bottom, product = self.top, self.bottom, self.product
+        top_d, bottom_d = top[d], bottom[d]
+        count = len(self.elements)
+        uppers = [v for v in range(count) if top[v] <= top_d]
+        for u in range(count):
+            mx, lx = product(u, x)
+            my, ly = product(u, y)
+            hit_x = bottom[mx] <= bottom_d
+            hit_y = bottom[my] <= bottom_d
+            if not (hit_x or hit_y):
+                continue
+            for v in uppers:
+                # loop total where e_v (e_u e_z) is a multiple of e_d, else -1
+                kx = ky = -1
+                if hit_x:
+                    c, loops = product(v, mx)
+                    if c == d:
+                        kx = lx + loops
+                if hit_y:
+                    c, loops = product(v, my)
+                    if c == d:
+                        ky = ly + loops
+                if kx != ky:
+                    return self.elements[u], self.elements[v]
+        return None
+
+    def distinguish(self, d: Permutation, x: Permutation, y: Permutation):
+        """The default search: (x^-1, d), (y^-1, d), then the full scan."""
+        di, xi, yi = self.of(d), self.of(x), self.of(y)
+        for u in (x.inverse(), y.inverse()):
+            if self.separates(di, di, self.of(u), xi, yi):
+                return u, d
+        return self.first_separator(di, xi, yi)
 
 
 def multiplicity_at_one(
@@ -38,14 +137,10 @@ def multiplicity_at_one(
     >>> multiplicity_at_one(s1, s1, s1, s1)
     4
     """
-    dd = _diag(d)
-    if not dd.n == v.n == u.n == x.n:
+    if not d.n == v.n == u.n == x.n:
         raise ValueError("rank mismatch")
-    m1, loops1 = _mul(_diag(v), _diag(u))
-    m2, loops2 = _mul(m1, _diag(x))
-    if m2 != dd:
-        return 0
-    return 2 ** (loops1 + loops2)
+    basis = _Basis(d.n)
+    return basis.multiplicity(*map(basis.of, (d, v, u, x)))
 
 
 def check_lemma_multi(d: Permutation, x: Permutation) -> bool:
@@ -56,11 +151,6 @@ def check_lemma_multi(d: Permutation, x: Permutation) -> bool:
         raise ValueError(f"{x.images} does not survive against {d.images}")
     expected = 2 ** (2 * a_value(x))
     return multiplicity_at_one(d, d, x.inverse(), x) == expected
-
-
-@lru_cache(maxsize=None)
-def _fc_list(n: int) -> tuple[Permutation, ...]:
-    return enumerate_fc(n)
 
 
 def find_distinguisher(
@@ -83,13 +173,11 @@ def find_distinguisher(
     if not (theta_nonzero(x, d) and theta_nonzero(y, d)):
         raise ValueError("both elements must survive against d")
     if search is None:
-        fc = _fc_list(d.n)
-        search = chain(
-            [(x.inverse(), d), (y.inverse(), d)],
-            ((u, v) for u in fc for v in fc),
-        )
+        return _Basis(d.n, enumerate_fc(d.n)).distinguish(d, x, y)
+    basis = _Basis(d.n)
+    di, xi, yi = basis.of(d), basis.of(x), basis.of(y)
     for u, v in search:
-        if multiplicity_at_one(d, v, u, x) != multiplicity_at_one(d, v, u, y):
+        if basis.separates(di, basis.of(v), basis.of(u), xi, yi):
             return (u, v)
     return None
 
@@ -109,7 +197,7 @@ def witness_postconditions(
         failed.append("same_top_arcs")
     if not (theta_nonzero(x, d) and theta_nonzero(y, d)):
         failed.append("nonvanishing")
-    prod, loops = _mul(flip(ex), ey)
+    prod, loops = compose(flip(ex), ey)
     if loops != a or top_arcs(prod) != top_arcs(ey):
         failed.append("product_shape")
     return tuple(failed)
@@ -167,17 +255,18 @@ class VerifySummary:
         return sum(1 for r in self.reports if r.positive)
 
 
-def _report_for(d: Permutation, full_scan: bool) -> DistinguishReport:
-    fc = _fc_list(d.n)
+def _report_for(
+    basis: _Basis, d: Permutation, full_scan: bool
+) -> DistinguishReport:
     verdict = is_kostant(d)
     if verdict.positive:
-        alive = [x for x in fc if theta_nonzero(x, d)]
+        alive = [x for x in basis.elements if theta_nonzero(x, d)]
         failures = []
         witnesses = []
         pairs = 0
         for x, y in combinations(alive, 2):
             pairs += 1
-            found = find_distinguisher(d, x, y)
+            found = basis.distinguish(d, x, y)
             if found is None:
                 failures.append((x, y))
             else:
@@ -192,9 +281,7 @@ def _report_for(d: Permutation, full_scan: bool) -> DistinguishReport:
     pairs = 0
     if full_scan and not bad:
         pairs = 1
-        found = find_distinguisher(
-            d, x, y, search=((u, v) for u in fc for v in fc)
-        )
+        found = basis.first_separator(basis.of(d), basis.of(x), basis.of(y))
         if found is None:
             failures.append((x, y))
         else:
@@ -205,6 +292,15 @@ def _report_for(d: Permutation, full_scan: bool) -> DistinguishReport:
     )
 
 
+def _reports_for(
+    involutions: list[Permutation], full_scan: bool
+) -> list[DistinguishReport]:
+    # one basis per shard: its product table is shared by every report
+    n = involutions[0].n
+    basis = _Basis(n, enumerate_fc(n))
+    return [_report_for(basis, d, full_scan) for d in involutions]
+
+
 def verify_classification(
     n: int, full_scan_limit: int = 5, workers: int = 1
 ) -> VerifySummary:
@@ -213,20 +309,27 @@ def verify_classification(
     Positive involutions must have every surviving pair separated;
     negative ones must have their witness pair survive a full scan with
     no separator (only attempted when n <= full_scan_limit, otherwise the
-    witness contract alone is checked).  Work shards by involution when
-    workers > 1; the result does not depend on the worker count.
+    witness contract alone is checked).  Work shards by involution over
+    at most one worker per involution; the result does not depend on the
+    worker count.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     full_scan = n <= full_scan_limit
     involutions = enumerate_fc(n, involutions_only=True)
-    scans = [full_scan] * len(involutions)
-    if workers > 1 and len(involutions) > 1:
+    workers = min(workers, len(involutions))
+    if workers > 1:
+        shards = [involutions[i::workers] for i in range(workers)]
+        reports = [None] * len(involutions)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(_report_for, involutions, scans))
+            done = pool.map(_reports_for, shards, [full_scan] * workers)
+            for i, part in enumerate(done):
+                reports[i::workers] = part
     else:
-        reports = tuple(map(_report_for, involutions, scans))
-    return VerifySummary(n, full_scan_limit, reports)
+        reports = _reports_for(involutions, full_scan)
+    return VerifySummary(n, full_scan_limit, tuple(reports))
 
 
 def summary_json_dict(s: VerifySummary) -> dict:

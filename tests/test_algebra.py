@@ -10,13 +10,16 @@ from tlkostant import (
     TLElement,
     a_value,
     basis_of,
+    bottom_arcs,
     cells,
     diagram_of_fc,
     duflo_involution,
     enumerate_fc,
+    flip,
     left_cell_involution,
     rs_tableaux,
     theta_nonzero,
+    top_arcs,
 )
 from tlkostant.algebra import leq_L, leq_R
 
@@ -169,6 +172,22 @@ def test_theta_examples():
 def test_theta_rejects_non_fc():
     with pytest.raises(ValueError):
         theta_nonzero(Permutation((3, 2, 1)), Permutation((1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_theta_reads_the_top_arcs_of_the_flip(n):
+    # theta_nonzero compares the bottom arcs of x with the top arcs of y;
+    # its definition uses the top arcs of the flipped diagram of x
+    fc = enumerate_fc(n)
+    for x in fc:
+        d = diagram_of_fc(x)
+        assert bottom_arcs(d) == top_arcs(flip(d))
+    if n <= 5:
+        for x, y in itertools.product(fc, repeat=2):
+            flip_form = top_arcs(flip(diagram_of_fc(x))) <= top_arcs(
+                diagram_of_fc(y)
+            )
+            assert theta_nonzero(x, y) == flip_form
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -101,7 +101,15 @@ def test_verify_small_rank_passes():
 
 def test_verify_rank_caps():
     assert run_cli("verify", "--n", "1")[0] == 2
-    assert run_cli("verify", "--n", "8")[0] == 2
+    assert run_cli("verify", "--n", "9")[0] == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_verify_rejects_worker_counts_below_one(workers, capsys):
+    assert main(["verify", "--n", "3", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: workers must be at least 1, got {workers}\n"
 
 
 def test_verify_is_deterministic_across_workers():

@@ -172,7 +172,7 @@ def test_flip_matches_inverse(n):
         assert flip(diagram_of_fc(p)) == diagram_of_fc(p.inverse())
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_arcs_partition_and_counts(n):
     everything = set(range(1, n + 1))
     for p in enumerate_fc(n):
@@ -189,6 +189,10 @@ def test_arcs_partition_and_counts(n):
         assert all(a.side == "top" and a.ends[0] < a.ends[1] for a in top)
         assert all(a.side == "bottom" and a.ends[0] < a.ends[1] for a in bottom)
         assert all(a.side == "through" for a in through)
+        # the one-pass readers see the same strands as arcs()
+        assert top_arcs(d) == frozenset(a.ends for a in top)
+        assert bottom_arcs(d) == frozenset(a.ends for a in bottom)
+        assert through_tops(d) == tuple(sorted(a.ends[0] for a in through))
 
 
 def test_top_arcs_example():

@@ -7,7 +7,10 @@ import pytest
 from tlkostant import (
     Permutation,
     a_value,
+    bottom_arcs,
     check_lemma_multi,
+    compose,
+    diagram_of_fc,
     enumerate_fc,
     find_distinguisher,
     is_kostant,
@@ -15,10 +18,71 @@ from tlkostant import (
     negative_witness,
     special_involution,
     theta_nonzero,
+    top_arcs,
     verify_classification,
     witness_postconditions,
 )
-from tlkostant.verify import summary_csv_rows, summary_json_dict
+from tlkostant import verify
+from tlkostant.verify import (
+    DistinguishReport,
+    summary_csv_rows,
+    summary_json_dict,
+)
+
+
+class ReferenceOracle:
+    """The exhaustive oracle: e_v e_u e_x composed diagram by diagram,
+    every (u, v) in enumeration order, nothing pruned.  Products are
+    memoised per instance only."""
+
+    def __init__(self, n):
+        self.fc = enumerate_fc(n)
+        self.diag = {p: diagram_of_fc(p) for p in self.fc}
+        self.products = {}
+
+    def mul(self, a, b):
+        if (a, b) not in self.products:
+            self.products[a, b] = compose(a, b)
+        return self.products[a, b]
+
+    def multiplicity(self, d, v, u, x):
+        m1, loops1 = self.mul(self.diag[v], self.diag[u])
+        m2, loops2 = self.mul(m1, self.diag[x])
+        return 2 ** (loops1 + loops2) if m2 == self.diag[d] else 0
+
+    def first_separator(self, d, x, y, search):
+        for u, v in search:
+            if self.multiplicity(d, v, u, x) != self.multiplicity(d, v, u, y):
+                return (u, v)
+        return None
+
+    def report(self, d):
+        fc = self.fc
+        everything = [(u, v) for u in fc for v in fc]
+        if is_kostant(d).positive:
+            alive = [x for x in fc if theta_nonzero(x, d)]
+            failures, witnesses, pairs = [], [], 0
+            for x, y in itertools.combinations(alive, 2):
+                pairs += 1
+                search = [(x.inverse(), d), (y.inverse(), d)] + everything
+                found = self.first_separator(d, x, y, search)
+                if found is None:
+                    failures.append((x, y))
+                else:
+                    witnesses.append(((x, y), found))
+            return DistinguishReport(
+                d, True, True, pairs, tuple(failures), tuple(witnesses),
+                None, None,
+            )
+        x, y = negative_witness(d)
+        bad = witness_postconditions(d, x, y)
+        found = self.first_separator(d, x, y, everything)
+        return DistinguishReport(
+            d, False, True, 1,
+            ((x, y),) if found is None else (),
+            () if found is None else (((x, y), found),),
+            (x, y), bad,
+        )
 
 S1 = Permutation((2, 1))
 SIGMA = Permutation((3, 4, 1, 2))
@@ -178,3 +242,108 @@ def test_case_one_shortcut_is_enough_for_unequal_arc_counts():
                     search=[(x.inverse(), d), (y.inverse(), d)],
                 )
                 assert found is not None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_indexed_scan_matches_the_reference_scan(n):
+    reference = ReferenceOracle(n)
+    summary = verify_classification(n, full_scan_limit=n)
+    involutions = enumerate_fc(n, involutions_only=True)
+    assert [r.d for r in summary.reports] == involutions
+    for got in summary.reports:
+        want = reference.report(got.d)
+        assert got.failures == want.failures
+        assert got.witnesses == want.witnesses
+        assert got.pairs_checked == want.pairs_checked
+        assert got.witness_pair == want.witness_pair
+        assert got == want
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_pruned_scan_finds_the_first_separator_of_the_full_scan(n):
+    # every d and every ordered pair, surviving or not: verify runs alone
+    # rarely reach a separable full scan, since the shortcuts separate
+    # every positive pair
+    reference = ReferenceOracle(n)
+    fc = reference.fc
+    everything = [(u, v) for u in fc for v in fc]
+    basis = verify._Basis(n, fc)
+    separated = 0
+    for d, x, y in itertools.product(fc, repeat=3):
+        if x == y:
+            continue
+        want = reference.first_separator(d, x, y, everything)
+        got = basis.first_separator(basis.of(d), basis.of(x), basis.of(y))
+        assert got == want
+        separated += want is not None
+    assert separated > 0
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_pruned_products_have_multiplicity_zero(n):
+    # the scan skips (u, v) against d for x unless top(v) <= top(d) and
+    # bottom(u x) <= bottom(d); every skipped product must miss e_d
+    reference = ReferenceOracle(n)
+    fc, diag = reference.fc, reference.diag
+    pruned = 0
+    for d, u, v, x in itertools.product(fc, repeat=4):
+        ux, _ = reference.mul(diag[u], diag[x])
+        if (top_arcs(diag[v]) <= top_arcs(diag[d])
+                and bottom_arcs(ux) <= bottom_arcs(diag[d])):
+            continue
+        pruned += 1
+        assert reference.multiplicity(d, v, u, x) == 0
+    assert pruned > 0
+
+
+def test_large_rank_needs_no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated FC(64)")
+
+    monkeypatch.setattr(verify, "enumerate_fc", refuse)
+    d = Permutation(tuple(k + 1 if k % 2 else k - 1 for k in range(1, 65)))
+    assert d.is_involution() and not is_kostant(d).positive
+    x, y = negative_witness(d)
+    assert witness_postconditions(d, x, y) == ()
+    assert multiplicity_at_one(d, d, x.inverse(), x) == 4 ** a_value(x)
+    e = Permutation.identity(64)
+    assert multiplicity_at_one(d, e, e, e) == 0
+    assert find_distinguisher(d, x, y, search=[(x.inverse(), d)]) is None
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_worker_pool_is_clamped_to_the_involutions(monkeypatch):
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    serial = summary_json_dict(verify_classification(4, workers=1))
+    assert RecordingPool.sizes == []
+    for workers, size in [(2, 2), (6, 6), (7, 6), (10_000, 6)]:
+        got = summary_json_dict(verify_classification(4, workers=workers))
+        assert got == serial
+        assert RecordingPool.sizes[-1] == size
+    verify_classification(2, workers=10_000)  # two involutions
+    assert RecordingPool.sizes[-1] == 2
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_verify_rejects_worker_counts_below_one(workers):
+    with pytest.raises(ValueError):
+        verify_classification(3, workers=workers)
