@@ -32,6 +32,7 @@ from .verify import summary_csv_rows, summary_json_dict, verify_classification
 
 BRUTE_CAP = 8
 VERIFY_CAP = 8
+CELLS_CAP = 12
 
 
 def _fail(message: str) -> int:
@@ -195,8 +196,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_cells(args) -> int:
-    if args.n < 1:
-        return _fail(f"rank must be at least 1, got {args.n}")
+    if not 1 <= args.n <= CELLS_CAP:
+        return _fail(f"rank must be in 1..{CELLS_CAP}, got {args.n}")
     partition = compute_cells(args.n, args.kind)
     listed = [sorted(list(w.images) for w in cell) for cell in partition]
     if args.format == "json":

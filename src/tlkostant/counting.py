@@ -10,13 +10,12 @@ All arithmetic is exact: integers throughout, fractions for ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .kostant import is_kostant
 from .laurent import LaurentPoly
-from .permutations import a_value, enumerate_fc
+from .permutations import _Record, a_value, enumerate_fc
 
 
 def catalan(n: int) -> int:
@@ -80,13 +79,13 @@ def mi_of(n: int, a: int) -> int:
     return hook_length_count((n - a, a))
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Counts of rank n bucketed by a-value.
 
     by_a maps a to (ki, mi, k, m); totals holds the four column sums.
     """
 
+    __slots__ = ("n", "by_a", "totals")
     n: int
     by_a: dict[int, tuple[int, int, int, int]]
     totals: tuple[int, int, int, int]
@@ -134,8 +133,8 @@ def counts_by_bruteforce(n: int) -> CountTable:
     return _table(n, {a: tuple(r) for a, r in rows.items()})
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(_Record):
+    __slots__ = ("n_max", "checks", "failures")
     n_max: int
     checks: int
     failures: tuple[str, ...]
@@ -177,16 +176,16 @@ def recursion_checks(n_max: int) -> RecursionReport:
     return RecursionReport(n_max, checks, tuple(failures))
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(_Record):
+    __slots__ = ("n", "ki_over_mi", "k_over_m", "fixed_a")
     n: int
     ki_over_mi: Fraction
     k_over_m: Fraction
     fixed_a: dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Record):
+    __slots__ = ("rows", "totals_decreasing_from_4", "fixed_a_nondecreasing")
     rows: tuple[RatioRow, ...]
     totals_decreasing_from_4: bool
     fixed_a_nondecreasing: dict[int, bool]

@@ -22,9 +22,7 @@ closes no loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .permutations import Permutation, Tableau, rs_inverse, rs_tableaux
+from .permutations import Permutation, Tableau, _Record, rs_inverse, rs_tableaux
 
 
 class TLDiagram:
@@ -103,8 +101,7 @@ def _check_planar(n: int, pairs: tuple[int, ...]) -> None:
             stack.pop()
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(_Record):
     """One strand of a diagram.
 
     ``side`` is "top", "bottom" or "through".  For top and bottom arcs
@@ -112,6 +109,7 @@ class Arc:
     strand it is (top position, bottom position).
     """
 
+    __slots__ = ("side", "ends")
     side: str
     ends: tuple[int, int]
 

@@ -10,7 +10,6 @@ distinct elements the brute-force oracle cannot tell apart relative to w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import left_cell_involution
@@ -21,11 +20,10 @@ from .diagrams import (
     top_arcs,
     through_tops,
 )
-from .permutations import Permutation, Word, is_fully_commutative
+from .permutations import Permutation, Word, _Record, is_fully_commutative
 
 
-@dataclass(frozen=True, slots=True)
-class SpecialFactor:
+class SpecialFactor(_Record):
     """The involution with j+1 nested arcs centered between i and i+1.
 
     >>> SpecialFactor(2, 1, 4).permutation().images
@@ -34,20 +32,20 @@ class SpecialFactor:
     frozenset({1, 2})
     """
 
+    __slots__ = ("i", "j", "n")
     i: int
     j: int
     n: int
 
-    def __post_init__(self):
-        if not 1 <= self.i <= self.n - 1:
-            raise ValueError(f"center {self.i} not in 1..{self.n - 1}")
-        if self.j == 0:
-            return
-        if not 1 <= self.j <= min(self.i - 1, self.n - 1 - self.i):
+    def __init__(self, i: int, j: int, n: int):
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"center {i} not in 1..{n - 1}")
+        if j != 0 and not 1 <= j <= min(i - 1, n - 1 - i):
             raise ValueError(
-                f"depth {self.j} not in 0..{min(self.i - 1, self.n - 1 - self.i)}"
-                f" for center {self.i} in rank {self.n}"
+                f"depth {j} not in 0..{min(i - 1, n - 1 - i)}"
+                f" for center {i} in rank {n}"
             )
+        super().__init__(i, j, n)
 
     @property
     def support(self) -> frozenset[int]:
@@ -140,14 +138,14 @@ def decompose_into_specials(d: Permutation):
     return tuple(factors)
 
 
-@dataclass(frozen=True, slots=True)
-class KostantVerdict:
+class KostantVerdict(_Record):
     """Outcome of the classifier, always carrying a certificate.
 
     ``factors`` is set exactly when the verdict is positive and the input
     is an involution; ``witness`` is set exactly when negative.
     """
 
+    __slots__ = ("positive", "factors", "witness")
     positive: bool
     factors: tuple[SpecialFactor, ...] | None
     witness: tuple[Permutation, Permutation] | None

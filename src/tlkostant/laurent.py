@@ -6,7 +6,7 @@ zero polynomial has no terms; zero coefficients are always dropped.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class LaurentPoly:

@@ -13,8 +13,6 @@ factor of 2.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import _diag, theta_nonzero
@@ -27,7 +25,7 @@ from .diagrams import (
     top_arcs,
 )
 from .kostant import is_kostant, negative_witness
-from .permutations import Permutation, a_value, enumerate_fc
+from .permutations import Permutation, _Record, a_value, enumerate_fc
 
 
 class _Basis:
@@ -203,8 +201,7 @@ def witness_postconditions(
     return tuple(failed)
 
 
-@dataclass(frozen=True)
-class DistinguishReport:
+class DistinguishReport(_Record):
     """Per-involution outcome of the oracle run.
 
     For positive d, ``failures`` lists surviving pairs with no
@@ -215,6 +212,10 @@ class DistinguishReport:
     unexpectedly turned up.
     """
 
+    __slots__ = (
+        "d", "positive", "scan_complete", "pairs_checked", "failures",
+        "witnesses", "witness_pair", "postconditions_failed",
+    )
     d: Permutation
     positive: bool
     scan_complete: bool
@@ -236,8 +237,8 @@ class DistinguishReport:
         return bool(self.failures) and not self.witnesses
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(_Record):
+    __slots__ = ("n", "full_scan_limit", "reports")
     n: int
     full_scan_limit: int
     reports: tuple[DistinguishReport, ...]
@@ -321,6 +322,10 @@ def verify_classification(
     involutions = enumerate_fc(n, involutions_only=True)
     workers = min(workers, len(involutions))
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing add about
+        # 25 ms of `python -X importtime` to a start-up that needs no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         shards = [involutions[i::workers] for i in range(workers)]
         reports = [None] * len(involutions)
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,11 +1,14 @@
 """The command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import tlkostant
 from tlkostant import Permutation, cells
 from tlkostant.cli import main
 from tlkostant.verify import DistinguishReport, VerifySummary
@@ -183,6 +186,36 @@ def test_cells_csv_and_kinds():
     assert len(json.loads(out)["cells"]) == 2  # a = 0 and a = 1
     assert run_cli("cells", "--n", "0")[0] == 2
     assert run_cli("cells", "--n", "3", "--kind", "bogus")[0] == 2
+
+
+@pytest.mark.parametrize("n", ["13", "1000000"])
+def test_cells_rank_cap(n, monkeypatch, capsys):
+    # the cap must fire before the Catalan-sized enumeration starts
+    def unreachable(*args):
+        raise AssertionError("cells enumerated above the cap")
+
+    monkeypatch.setattr("tlkostant.cli.compute_cells", unreachable)
+    assert main(["cells", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be in 1..12, got {n}\n"
+
+
+def test_cli_import_loads_no_pool_or_dataclasses():
+    # the process pool and the dataclass machinery add about 35 ms of
+    # `python -X importtime`; only verify with workers above 1 loads the pool
+    src = pathlib.Path(tlkostant.__file__).parents[1]
+    probe = (
+        "import sys, tlkostant.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+        " 'dataclasses') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_subcommand_fails():

@@ -1,5 +1,6 @@
 """The multiplicity oracle against the classifier."""
 
+import concurrent.futures
 import itertools
 
 import pytest
@@ -331,7 +332,9 @@ class RecordingPool:
 
 
 def test_worker_pool_is_clamped_to_the_involutions(monkeypatch):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # verify imports the pool class where it starts a pool, so the fake
+    # goes where that import looks it up
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     serial = summary_json_dict(verify_classification(4, workers=1))
     assert RecordingPool.sizes == []
