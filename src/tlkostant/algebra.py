@@ -34,6 +34,8 @@ from .permutations import (
 _DELTA = LaurentPoly.delta()
 
 
+# Filled only by theta_nonzero and the oracle (verify), which meet the
+# same elements many times over; everything else builds diagrams afresh.
 @lru_cache(maxsize=None)
 def _diag(p: Permutation) -> TLDiagram:
     return diagram_of_fc(p)
@@ -129,7 +131,7 @@ class TLElement:
 
 def basis_of(p: Permutation) -> TLElement:
     """The basis element attached to a fully commutative permutation."""
-    return TLElement.from_diagram(_diag(p))
+    return TLElement.from_diagram(diagram_of_fc(p))
 
 
 def _require_fc(p: Permutation) -> None:
@@ -148,14 +150,14 @@ def leq_L(x: Permutation, y: Permutation) -> bool:
     """
     _require_fc(x)
     _require_fc(y)
-    return top_arcs(_diag(x)) <= top_arcs(_diag(y))
+    return top_arcs(diagram_of_fc(x)) <= top_arcs(diagram_of_fc(y))
 
 
 def leq_R(x: Permutation, y: Permutation) -> bool:
     """Right preorder: every bottom arc of the diagram of x is one of y."""
     _require_fc(x)
     _require_fc(y)
-    return bottom_arcs(_diag(x)) <= bottom_arcs(_diag(y))
+    return bottom_arcs(diagram_of_fc(x)) <= bottom_arcs(diagram_of_fc(y))
 
 
 def cells(n: int, kind: str) -> tuple[frozenset[Permutation], ...]:
@@ -168,9 +170,9 @@ def cells(n: int, kind: str) -> tuple[frozenset[Permutation], ...]:
     """
     fc = enumerate_fc(n)
     if kind == "left":
-        key = lambda w: top_arcs(_diag(w))  # noqa: E731
+        key = lambda w: top_arcs(diagram_of_fc(w))  # noqa: E731
     elif kind == "right":
-        key = lambda w: bottom_arcs(_diag(w))  # noqa: E731
+        key = lambda w: bottom_arcs(diagram_of_fc(w))  # noqa: E731
     elif kind == "two_sided":
         key = a_value
     else:

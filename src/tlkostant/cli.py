@@ -30,7 +30,7 @@ from .kostant import is_kostant
 from .permutations import Permutation, Word, is_fully_commutative, word_to_permutation
 from .verify import summary_csv_rows, summary_json_dict, verify_classification
 
-BRUTE_CAP = 8
+BRUTE_CAP = 12
 VERIFY_CAP = 8
 CELLS_CAP = 12
 

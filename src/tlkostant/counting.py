@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .kostant import is_kostant
+from .diagrams import arc_count, diagram_of_fc
+from .kostant import _separated
 from .laurent import LaurentPoly
-from .permutations import _Record, a_value, enumerate_fc
+from .permutations import _Record, _fc_elements
 
 
 def catalan(n: int) -> int:
@@ -115,17 +116,22 @@ def counts_by_formula(n: int) -> CountTable:
 def counts_by_bruteforce(n: int) -> CountTable:
     """The same table by enumerating and classifying every element.
 
+    Each element's diagram is built once and gives both numbers: its arc
+    count is the a-value, and ``kostant._separated`` of it is the verdict,
+    the same predicate ``is_kostant`` decides with.  Only the verdict is
+    read, so no witness is built.  Elements are streamed, not listed.
+
     >>> counts_by_bruteforce(4) == counts_by_formula(4)
     True
     """
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
     rows = {a: [0, 0, 0, 0] for a in range(n // 2 + 1)}
-    for w in enumerate_fc(n):
-        a = a_value(w)
-        positive = is_kostant(w).positive
+    for w in _fc_elements(n):
+        diagram = diagram_of_fc(w)
+        positive = _separated(diagram)
         involution = w.is_involution()
-        row = rows[a]
+        row = rows[arc_count(diagram)]
         row[0] += positive and involution
         row[1] += involution
         row[2] += positive

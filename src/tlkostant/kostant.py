@@ -152,6 +152,12 @@ class KostantVerdict(_Record):
 
 
 def _separated(d: TLDiagram) -> bool:
+    """The classifier's decision, without a certificate.
+
+    True when every pair of non-nested top arcs of d has a through line
+    strictly between them.  ``is_kostant`` and
+    ``counting.counts_by_bruteforce`` both decide with this predicate.
+    """
     tops = sorted(top_arcs(d))
     throughs = set(through_tops(d))
     for (_, b1), (a2, _) in combinations(tops, 2):

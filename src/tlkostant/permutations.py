@@ -405,39 +405,41 @@ def enumerate_fc(n: int, involutions_only: bool = False) -> list[Permutation]:
         out = [rs_inverse(t, t) for t in _two_row_tableaux(n)]
         out.sort(key=lambda p: p.images)
         return out
+    return list(_fc_elements(n))
 
-    result: list[Permutation] = []
+
+def _fc_elements(n: int) -> Iterator[Permutation]:
+    """The elements of ``enumerate_fc(n)``, in its order, one at a time.
+
+    Grows the one-line word left to right.  A partial word extends to a
+    321-avoiding permutation iff it is itself 321-avoiding and no unused
+    value undercuts an existing descent; both reduce to: append either a
+    new maximum, or the smallest unused value provided it clears `bound`
+    (the largest value already preceded by something bigger).
+    """
     prefix: list[int] = []
     used = [False] * (n + 2)
-
-    # Grow the one-line word left to right.  A partial word extends to a
-    # 321-avoiding permutation iff it is itself 321-avoiding and no unused
-    # value undercuts an existing descent; both reduce to: append either a
-    # new maximum, or the smallest unused value provided it clears `bound`
-    # (the largest value already preceded by something bigger).
-    def rec(prefix_max: int, bound: int) -> None:
+    # stack[k] holds the untried (value, prefix_max, bound) choices for
+    # position k, the next one last
+    stack = [[(v, v, 0) for v in range(n, 0, -1)]]
+    while stack:
+        choices = stack[-1]
+        while len(prefix) >= len(stack):
+            used[prefix.pop()] = False
+        if not choices:
+            stack.pop()
+            continue
+        v, prefix_max, bound = choices.pop()
+        prefix.append(v)
+        used[v] = True
         if len(prefix) == n:
-            result.append(Permutation(tuple(prefix)))
-            return
-        smallest = next(v for v in range(1, n + 1) if not used[v])
-        for v in range(smallest, n + 1):
-            if used[v]:
-                continue
-            if v > prefix_max:
-                used[v] = True
-                prefix.append(v)
-                rec(v, bound)
-                prefix.pop()
-                used[v] = False
-            elif v == smallest and v > bound:
-                used[v] = True
-                prefix.append(v)
-                rec(prefix_max, v)
-                prefix.pop()
-                used[v] = False
-
-    rec(0, 0)
-    return result
+            yield Permutation(tuple(prefix))
+            continue
+        smallest = used.index(False, 1)
+        nxt = [(u, u, bound) for u in range(n, prefix_max, -1)]
+        if bound < smallest < prefix_max:
+            nxt.append((smallest, prefix_max, smallest))
+        stack.append(nxt)
 
 
 if __name__ == "__main__":

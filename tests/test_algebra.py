@@ -21,7 +21,7 @@ from tlkostant import (
     theta_nonzero,
     top_arcs,
 )
-from tlkostant.algebra import leq_L, leq_R
+from tlkostant.algebra import _diag, leq_L, leq_R
 
 DELTA = LaurentPoly.delta()
 
@@ -105,6 +105,16 @@ def test_two_sided_cells_match_a_value(n):
     for p in enumerate_fc(n):
         groups.setdefault(a_value(p), set()).add(p)
     assert set(cells(n, "two_sided")) == {frozenset(g) for g in groups.values()}
+
+
+def test_cells_preorders_and_basis_leave_the_diagram_cache_alone():
+    before = _diag.cache_info().currsize
+    for kind in ("left", "right"):
+        assert len(cells(8, kind)) == 70  # one per involution
+    x, y = Permutation((2, 1, 3, 4)), Permutation((2, 1, 4, 3))
+    assert leq_L(x, y) and leq_R(x, y)
+    assert basis_of(x) * basis_of(x) == basis_of(x).scaled(DELTA)
+    assert _diag.cache_info().currsize == before
 
 
 def test_cells_rejects_unknown_kind():

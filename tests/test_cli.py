@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tlkostant
-from tlkostant import Permutation, cells
+from tlkostant import Permutation, cells, counts_by_formula
 from tlkostant.cli import main
 from tlkostant.verify import DistinguishReport, VerifySummary
 
@@ -77,6 +77,35 @@ def test_enumerate_brute_cap():
     assert code == 2 and "capped" in err
     code, _, _ = run_cli("enumerate", "--n", "99")
     assert code == 0  # formulas have no cap
+
+
+def test_enumerate_brute_cap_fires_before_counting(monkeypatch, capsys):
+    # rank 13 has 742,900 elements; the cap must stop it before the count
+    def unreachable(*args):
+        raise AssertionError("brute counts ran above the cap")
+
+    monkeypatch.setattr("tlkostant.cli.counts_by_bruteforce", unreachable)
+    assert main(["enumerate", "--n", "13", "--brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: brute-force counting is capped at rank 12, got 13\n"
+    )
+
+
+def test_enumerate_brute_accepts_rank_twelve(monkeypatch, capsys):
+    # the cap's top rank reaches the counter; the real rank-12 count takes
+    # several seconds, so a stand-in returns the formula table
+    seen = []
+
+    def stand_in(n):
+        seen.append(n)
+        return counts_by_formula(n)
+
+    monkeypatch.setattr("tlkostant.cli.counts_by_bruteforce", stand_in)
+    assert main(["enumerate", "--n", "12", "--brute"]) == 0
+    assert seen == [12]
+    assert json.loads(capsys.readouterr().out)["brute_matches"] is True
 
 
 def test_enumerate_csv():

@@ -7,18 +7,41 @@ import pytest
 
 from tlkostant import (
     LaurentPoly,
+    a_value,
+    arc_count,
     catalan,
     counts_by_bruteforce,
     counts_by_formula,
+    diagram_of_fc,
     enumerate_fc,
     fibonacci_polynomial,
     hook_length_count,
+    is_kostant,
     ki_of,
     mi_of,
     ratio_report,
     recursion_checks,
 )
+from tlkostant import kostant
+from tlkostant.counting import CountTable
 from tlkostant.permutations import _two_row_tableaux
+
+
+def reference_counts(n):
+    # reference for counts_by_bruteforce: the full classifier, which builds
+    # a certificate per element, and a second RS pass for the a-value
+    rows = {a: [0, 0, 0, 0] for a in range(n // 2 + 1)}
+    for w in enumerate_fc(n):
+        positive = is_kostant(w).positive
+        involution = w.is_involution()
+        row = rows[a_value(w)]
+        row[0] += positive and involution
+        row[1] += involution
+        row[2] += positive
+        row[3] += 1
+    by_a = {a: tuple(r) for a, r in rows.items()}
+    totals = tuple(sum(r[c] for r in by_a.values()) for c in range(4))
+    return CountTable(n, by_a, totals)
 
 
 def ratio_summand_form(n):
@@ -91,9 +114,28 @@ def test_ki_is_binomial(n):
         assert ki_of(n, a) == math.comb(n - a, a)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_formula_matches_bruteforce(n):
     assert counts_by_formula(n) == counts_by_bruteforce(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_bruteforce_matches_the_certificate_building_reference(n):
+    assert counts_by_bruteforce(n) == reference_counts(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_arc_count_of_the_diagram_is_the_a_value(n):
+    for w in enumerate_fc(n):
+        assert arc_count(diagram_of_fc(w)) == a_value(w), w.images
+
+
+def test_bruteforce_builds_no_witness(monkeypatch):
+    def unreachable(d):
+        raise AssertionError(f"witness built for {d.images}")
+
+    monkeypatch.setattr(kostant, "negative_witness", unreachable)
+    assert counts_by_bruteforce(6) == counts_by_formula(6)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
