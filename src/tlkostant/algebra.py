@@ -8,11 +8,13 @@ Cells are read off the diagram boundaries.  The top arcs of the diagram
 of w come from the recording tableau of w, so they give the left side:
 the left preorder, left cells and nonvanishing compare top arcs, the
 right preorder and right cells compare bottom arcs.
+
+No module-level cache exists: every function here builds the diagrams it
+reads afresh.  The oracle's per-run index, ``verify._Basis``, is the only
+memo in the package, and it lives as long as one run or one shard.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .diagrams import (
     TLDiagram,
@@ -26,19 +28,11 @@ from .permutations import (
     Permutation,
     a_value,
     enumerate_fc,
-    is_fully_commutative,
     rs_inverse,
     rs_tableaux,
 )
 
 _DELTA = LaurentPoly.delta()
-
-
-# Filled only by theta_nonzero and the oracle (verify), which meet the
-# same elements many times over; everything else builds diagrams afresh.
-@lru_cache(maxsize=None)
-def _diag(p: Permutation) -> TLDiagram:
-    return diagram_of_fc(p)
 
 
 class TLElement:
@@ -134,11 +128,6 @@ def basis_of(p: Permutation) -> TLElement:
     return TLElement.from_diagram(diagram_of_fc(p))
 
 
-def _require_fc(p: Permutation) -> None:
-    if not is_fully_commutative(p):
-        raise ValueError(f"{p.images} is not fully commutative")
-
-
 def leq_L(x: Permutation, y: Permutation) -> bool:
     """Left preorder: every top arc of the diagram of x is one of y.
 
@@ -148,15 +137,11 @@ def leq_L(x: Permutation, y: Permutation) -> bool:
     >>> leq_L(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
     False
     """
-    _require_fc(x)
-    _require_fc(y)
     return top_arcs(diagram_of_fc(x)) <= top_arcs(diagram_of_fc(y))
 
 
 def leq_R(x: Permutation, y: Permutation) -> bool:
     """Right preorder: every bottom arc of the diagram of x is one of y."""
-    _require_fc(x)
-    _require_fc(y)
     return bottom_arcs(diagram_of_fc(x)) <= bottom_arcs(diagram_of_fc(y))
 
 
@@ -203,10 +188,13 @@ def duflo_involution(cell) -> Permutation:
 def left_cell_involution(w: Permutation) -> Permutation:
     """The Duflo involution of the left cell of w.
 
-    Same recording tableau as w, used as its insertion tableau too.
+    Same recording tableau as w, used as its insertion tableau too.  A w
+    that is not fully commutative is rejected by its RS shape: more than
+    two rows means a decreasing subsequence of length three.
     """
-    _require_fc(w)
     q = rs_tableaux(w)[1]
+    if len(q.rows) > 2:
+        raise ValueError(f"{w.images} is not fully commutative")
     return rs_inverse(q, q)
 
 
@@ -222,9 +210,7 @@ def theta_nonzero(x: Permutation, y: Permutation) -> bool:
     >>> theta_nonzero(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
     False
     """
-    _require_fc(x)
-    _require_fc(y)
-    return bottom_arcs(_diag(x)) <= top_arcs(_diag(y))
+    return bottom_arcs(diagram_of_fc(x)) <= top_arcs(diagram_of_fc(y))
 
 
 if __name__ == "__main__":

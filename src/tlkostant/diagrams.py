@@ -113,10 +113,6 @@ class Arc(_Record):
     side: str
     ends: tuple[int, int]
 
-    @property
-    def is_vertical(self) -> bool:
-        return self.side == "through" and self.ends[0] == self.ends[1]
-
 
 def identity_diagram(n: int) -> TLDiagram:
     return TLDiagram(n, tuple(range(n, 2 * n)) + tuple(range(n)))

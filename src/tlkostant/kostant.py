@@ -20,7 +20,7 @@ from .diagrams import (
     top_arcs,
     through_tops,
 )
-from .permutations import Permutation, Word, _Record, is_fully_commutative
+from .permutations import Permutation, Word, _Record
 
 
 class SpecialFactor(_Record):
@@ -93,11 +93,12 @@ def is_distant(a: SpecialFactor, b: SpecialFactor) -> bool:
     return len(a.extended_support & b.extended_support) <= 1
 
 
-def _require_fc_involution(d: Permutation) -> None:
-    if not is_fully_commutative(d):
-        raise ValueError(f"{d.images} is not fully commutative")
+def _involution_diagram(d: Permutation) -> TLDiagram:
+    """The diagram of d; rejects a non-FC d first, then a non-involution."""
+    diagram = diagram_of_fc(d)
     if not d.is_involution():
         raise ValueError(f"{d.images} is not an involution")
+    return diagram
 
 
 def decompose_into_specials(d: Permutation):
@@ -112,8 +113,7 @@ def decompose_into_specials(d: Permutation):
     >>> decompose_into_specials(Permutation((2, 1, 4, 3))) is None
     True
     """
-    _require_fc_involution(d)
-    tops = sorted(top_arcs(diagram_of_fc(d)))
+    tops = sorted(top_arcs(_involution_diagram(d)))
     top_set = set(tops)
     factors = []
     for l, r in tops:
@@ -171,15 +171,15 @@ def is_kostant(w: Permutation) -> KostantVerdict:
 
     Positive when every pair of non-nested top arcs of the diagram of w
     has a through line strictly between them.  For involutions this
-    agrees with decompose_into_specials succeeding.
+    agrees with decompose_into_specials succeeding.  A w that is not
+    fully commutative is rejected by ``diagram_of_fc``, through its RS
+    shape.
 
     >>> is_kostant(Permutation((3, 4, 1, 2))).positive
     True
     >>> is_kostant(Permutation((2, 1, 4, 3))).positive
     False
     """
-    if not is_fully_commutative(w):
-        raise ValueError(f"{w.images} is not fully commutative")
     positive = _separated(diagram_of_fc(w))
     if positive:
         factors = None
@@ -219,8 +219,7 @@ def negative_witness(d: Permutation) -> tuple[Permutation, Permutation]:
     >>> x.images, y.images
     ((2, 1, 3, 4), (4, 1, 2, 3))
     """
-    _require_fc_involution(d)
-    diagram = diagram_of_fc(d)
+    diagram = _involution_diagram(d)
     if _separated(diagram):
         raise ValueError(f"{d.images} has no adjacent non-nested arc pair")
     tops = sorted(top_arcs(diagram))

@@ -129,10 +129,6 @@ class Permutation(_Record):
             raise ValueError(f"rank must be at least 1, got {n}")
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_one_line(cls, images) -> Permutation:
-        return cls(tuple(images))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -354,14 +350,16 @@ def a_value(p: Permutation) -> int:
     """Length of the second row of the RS shape of a fully commutative p.
 
     This is the number of arcs in the diagram of p and Lusztig's a-function
-    on its two-sided class.
+    on its two-sided class.  A p that is not fully commutative is
+    rejected by the same shape: by Schensted, p avoids 321 exactly when
+    it has at most two rows.
 
     >>> a_value(Permutation((3, 4, 1, 2)))
     2
     """
-    if not is_fully_commutative(p):
-        raise ValueError(f"{p.images} is not fully commutative")
     shape = rs_tableaux(p)[0].shape
+    if len(shape) > 2:
+        raise ValueError(f"{p.images} is not fully commutative")
     return shape[1] if len(shape) > 1 else 0
 
 

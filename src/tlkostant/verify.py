@@ -9,22 +9,27 @@ assuming it.
 
 Multiplicities are taken at q = 1, so each closed loop contributes a
 factor of 2.
+
+No module-level cache exists.  ``_Basis`` is the only memo: it indexes
+permutations, diagrams and products for one run, or one shard of a
+verify run, and goes when that run does.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import _diag, theta_nonzero
+from .algebra import theta_nonzero
 from .diagrams import (
     TLDiagram,
     arc_count,
     bottom_arcs,
     compose,
+    diagram_of_fc,
     flip,
     top_arcs,
 )
-from .kostant import is_kostant, negative_witness
+from .kostant import is_kostant
 from .permutations import Permutation, _Record, a_value, enumerate_fc
 
 
@@ -33,9 +38,12 @@ class _Basis:
 
     The diagrams of ``elements`` (FC(n) in enumeration order for a full
     scan) take the indices 0, 1, ...; any other diagram met as a product
-    gets the next free index.  Products are filled in on first use as
-    (index, loops), so the scan compares ints.  A basis lives as long as
-    the call, or the shard of a verify run, that made it.
+    gets the next free index.  A permutation index maps each permutation
+    ``of`` has seen to its diagram's index, so ``distinguish`` builds no
+    diagram of an element again.
+    Products are filled in on first use as (index, loops), so the scan
+    compares ints.  A basis lives as long as the call, or the shard of a
+    verify run, that made it.
     """
 
     def __init__(self, n: int, elements=()):
@@ -43,6 +51,7 @@ class _Basis:
         self.elements = tuple(elements)
         self.diagrams: list[TLDiagram] = []
         self.index: dict[TLDiagram, int] = {}
+        self.perm_index: dict[Permutation, int] = {}
         self.top: list[frozenset] = []
         self.bottom: list[frozenset] = []
         self._products: dict[tuple[int, int], tuple[int, int]] = {}
@@ -59,9 +68,12 @@ class _Basis:
         return i
 
     def of(self, p: Permutation) -> int:
-        if p.n != self.n:
-            raise ValueError(f"rank mismatch: {p.n} != {self.n}")
-        return self.intern(_diag(p))
+        i = self.perm_index.get(p)
+        if i is None:
+            if p.n != self.n:
+                raise ValueError(f"rank mismatch: {p.n} != {self.n}")
+            i = self.perm_index[p] = self.intern(diagram_of_fc(p))
+        return i
 
     def product(self, a: int, b: int) -> tuple[int, int]:
         """(index of a.b, closed loops) for diagram indices a, b."""
@@ -185,7 +197,7 @@ def witness_postconditions(
 ) -> tuple[str, ...]:
     """Names of the witness-contract conditions that (x, y) violates."""
     failed = []
-    ex, ey, ed = _diag(x), _diag(y), _diag(d)
+    ex, ey, ed = diagram_of_fc(x), diagram_of_fc(y), diagram_of_fc(d)
     a, c = arc_count(ex), arc_count(ed)
     if x == y:
         failed.append("distinct")
@@ -261,7 +273,8 @@ def _report_for(
 ) -> DistinguishReport:
     verdict = is_kostant(d)
     if verdict.positive:
-        alive = [x for x in basis.elements if theta_nonzero(x, d)]
+        top_d = basis.top[basis.of(d)]  # theta_nonzero(x, d), from the index
+        alive = [x for x, b in zip(basis.elements, basis.bottom) if b <= top_d]
         failures = []
         witnesses = []
         pairs = 0
@@ -275,7 +288,7 @@ def _report_for(
         return DistinguishReport(
             d, True, True, pairs, tuple(failures), tuple(witnesses), None, None
         )
-    x, y = negative_witness(d)
+    x, y = verdict.witness
     bad = witness_postconditions(d, x, y)
     failures = []
     witnesses = []

@@ -1,6 +1,7 @@
 """The diagram algebra, its cells, and the nonvanishing test."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -21,7 +22,8 @@ from tlkostant import (
     theta_nonzero,
     top_arcs,
 )
-from tlkostant.algebra import _diag, leq_L, leq_R
+from tlkostant.algebra import leq_L, leq_R
+from tlkostant.verify import verify_classification
 
 DELTA = LaurentPoly.delta()
 
@@ -107,14 +109,22 @@ def test_two_sided_cells_match_a_value(n):
     assert set(cells(n, "two_sided")) == {frozenset(g) for g in groups.values()}
 
 
-def test_cells_preorders_and_basis_leave_the_diagram_cache_alone():
-    before = _diag.cache_info().currsize
+def test_package_holds_no_process_lifetime_cache():
     for kind in ("left", "right"):
         assert len(cells(8, kind)) == 70  # one per involution
     x, y = Permutation((2, 1, 3, 4)), Permutation((2, 1, 4, 3))
     assert leq_L(x, y) and leq_R(x, y)
     assert basis_of(x) * basis_of(x) == basis_of(x).scaled(DELTA)
-    assert _diag.cache_info().currsize == before
+    assert verify_classification(5, full_scan_limit=5).ok
+    # memos live on a per-run object (verify._Basis), never on a module
+    cached = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name.startswith("tlkostant.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
 
 
 def test_cells_rejects_unknown_kind():

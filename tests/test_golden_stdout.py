@@ -40,6 +40,10 @@ def _commands():
         out.append(["verify", "--n", n, "--full-scan-limit", "5",
                     "--workers", "1"])
     out.append(["verify", "--n", "4", "--workers", "2", "--format", "csv"])
+    # the full scan at rank 6: positives' survivors, negatives' witnesses
+    out.append(["verify", "--n", "6", "--full-scan-limit", "6",
+                "--workers", "1"])
+    out.append(["classify", "--perm", "3,2,1"])  # not FC: exit 2, no stdout
     for n in ("1", "4", "6"):
         for kind in ("left", "right", "two_sided"):
             for fmt in ("json", "csv"):

@@ -24,6 +24,7 @@ from tlkostant import (
     top_arcs,
     word_to_permutation,
 )
+from tlkostant.algebra import leq_L, leq_R
 
 
 def s(i, n):
@@ -209,3 +210,33 @@ def test_maximal_parabolic_length():
         for i in range(n // 2 + 1):
             w = maximal_parabolic_element(n, i)
             assert w.inversions() == i * (n - i)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_non_fc_input_is_rejected_with_the_same_message(n):
+    fc = set(enumerate_fc(n))
+    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    bad = [p for p in perms if p not in fc]
+    good = Permutation.identity(n)
+    worst = Permutation(tuple(range(n, 0, -1)))  # never FC from rank 3
+
+    def message(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return str(info.value)
+
+    for p in bad:
+        expected = f"{p.images} is not fully commutative"
+        for binary in (theta_nonzero, leq_L, leq_R):
+            assert message(lambda: binary(p, good)) == expected
+            assert message(lambda: binary(good, p)) == expected
+            # both arguments bad: the first one is named
+            assert message(lambda: binary(p, worst)) == expected
+        for unary in (is_kostant, a_value, left_cell_involution,
+                      decompose_into_specials, negative_witness):
+            assert message(lambda: unary(p)) == expected
+    for p in fc:
+        if not p.is_involution():
+            expected = f"{p.images} is not an involution"
+            assert message(lambda: decompose_into_specials(p)) == expected
+            assert message(lambda: negative_witness(p)) == expected
