@@ -33,6 +33,7 @@ from .verify import summary_csv_rows, summary_json_dict, verify_classification
 BRUTE_CAP = 12
 VERIFY_CAP = 8
 CELLS_CAP = 12
+ENUMERATE_CAP = 500
 
 
 def _fail(message: str) -> int:
@@ -120,8 +121,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 1:
-        return _fail(f"rank must be at least 1, got {args.n}")
+    if not 1 <= args.n <= ENUMERATE_CAP:
+        return _fail(f"rank must be in 1..{ENUMERATE_CAP}, got {args.n}")
     if args.brute and args.n > BRUTE_CAP:
         return _fail(
             f"brute-force counting is capped at rank {BRUTE_CAP}, got {args.n}"

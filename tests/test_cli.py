@@ -9,7 +9,13 @@ import sys
 import pytest
 
 import tlkostant
-from tlkostant import Permutation, cells, counts_by_formula
+from tlkostant import (
+    Permutation,
+    cells,
+    counts_by_formula,
+    ratio_report,
+    recursion_checks,
+)
 from tlkostant.cli import main
 from tlkostant.verify import DistinguishReport, VerifySummary
 
@@ -106,6 +112,43 @@ def test_enumerate_brute_accepts_rank_twelve(monkeypatch, capsys):
     assert main(["enumerate", "--n", "12", "--brute"]) == 0
     assert seen == [12]
     assert json.loads(capsys.readouterr().out)["brute_matches"] is True
+
+
+@pytest.mark.parametrize("n", ["0", "501", "1000000"])
+def test_enumerate_rank_cap(n, monkeypatch, capsys):
+    # the cap must fire before any table is built
+    def unreachable(*args):
+        raise AssertionError("a table was built outside the cap")
+
+    for name in ("counts_by_formula", "recursion_checks", "ratio_report"):
+        monkeypatch.setattr(f"tlkostant.cli.{name}", unreachable)
+    assert main(["enumerate", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be in 1..500, got {n}\n"
+
+
+def test_enumerate_accepts_rank_five_hundred(monkeypatch, capsys):
+    # the cap's top rank reaches every table builder; the real recursions
+    # and ratios to rank 500 take seconds, so stand-ins build rank-3 ones
+    seen = []
+
+    def stand_in(real, small):
+        def build(n):
+            seen.append((real.__name__, n))
+            return real(small)
+        return build
+
+    monkeypatch.setattr("tlkostant.cli.counts_by_formula",
+                        stand_in(counts_by_formula, 3))
+    monkeypatch.setattr("tlkostant.cli.recursion_checks",
+                        stand_in(recursion_checks, 3))
+    monkeypatch.setattr("tlkostant.cli.ratio_report",
+                        stand_in(ratio_report, 3))
+    assert main(["enumerate", "--n", "500"]) == 0
+    assert sorted(seen) == [("counts_by_formula", 500),
+                            ("ratio_report", 500), ("recursion_checks", 500)]
+    assert json.loads(capsys.readouterr().out)["recursions"]["ok"] is True
 
 
 def test_enumerate_csv():
@@ -230,21 +273,33 @@ def test_cells_rank_cap(n, monkeypatch, capsys):
     assert captured.err == f"error: rank must be in 1..12, got {n}\n"
 
 
-def test_cli_import_loads_no_pool_or_dataclasses():
-    # the process pool and the dataclass machinery add about 35 ms of
-    # `python -X importtime`; only verify with workers above 1 loads the pool
+def _loaded_by_cli_import(modules):
+    # which of modules a fresh interpreter holds after `import tlkostant.cli`
     src = pathlib.Path(tlkostant.__file__).parents[1]
     probe = (
         "import sys, tlkostant.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
-        " 'dataclasses') if m in sys.modules))"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_pool_or_dataclasses():
+    # the process pool and the dataclass machinery add about 35 ms of
+    # `python -X importtime`; only verify with workers above 1 loads the pool
+    assert _loaded_by_cli_import(
+        ("concurrent.futures", "multiprocessing", "dataclasses")
+    ) == "[]\n"
+
+
+def test_cli_import_loads_no_fractions():
+    # only enumerate's ratio table builds a Fraction; fractions pulls in
+    # decimal and numbers, about 2 ms of every other command's start-up
+    assert _loaded_by_cli_import(("fractions", "decimal")) == "[]\n"
 
 
 def test_unknown_subcommand_fails():

@@ -108,6 +108,15 @@ def test_hook_formula_matches_brute_tableau_enumeration(n):
         assert mi_of(n, a) == by_shape[shape]
 
 
+def test_mi_ballot_number_matches_the_hook_formula():
+    # mi_of's fast path against the general hook-length product
+    for n in range(1, 201):
+        for a in range(1, n // 2 + 1):
+            assert mi_of(n, a) == hook_length_count((n - a, a)), (n, a)
+        assert mi_of(n, 0) == 1
+        assert mi_of(n, n // 2 + 1) == 0
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_ki_is_binomial(n):
     for a in range(n // 2 + 1):
@@ -172,6 +181,18 @@ def test_recursions_up_to_twelve():
     assert report.checks > 0
     with pytest.raises(ValueError):
         recursion_checks(2)
+
+
+def test_recursions_to_sixty_match_the_fibonacci_reference():
+    # the carried F_n against fibonacci_polynomial, rebuilt from F_0
+    report = recursion_checks(60)
+    assert report.ok
+    assert report.checks == sum(k // 2 + 3 for k in range(3, 61))
+    for n in range(3, 61):
+        poly = LaurentPoly.zero()
+        for a in range(n // 2 + 1):
+            poly = poly + LaurentPoly.monomial(n - 2 * a, ki_of(n, a))
+        assert poly == fibonacci_polynomial(n), n
 
 
 def test_ratio_trends_and_pins():
