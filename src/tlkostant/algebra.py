@@ -1,4 +1,4 @@
-"""Linear combinations of diagrams, cell preorders, and nonvanishing.
+"""Linear combinations of diagrams and cell preorders.
 
 A ``TLElement`` is a finite sum of diagrams with Laurent coefficients;
 multiplying basis diagrams stacks them and converts each closed loop into
@@ -6,8 +6,10 @@ a factor of delta = q + q^-1.
 
 Cells are read off the diagram boundaries.  The top arcs of the diagram
 of w come from the recording tableau of w, so they give the left side:
-the left preorder, left cells and nonvanishing compare top arcs, the
-right preorder and right cells compare bottom arcs.
+the left preorder and left cells compare top arcs, the right preorder
+and right cells compare bottom arcs.  The nonvanishing test
+``theta_nonzero`` and ``left_cell_involution`` live in ``kostant``, whose
+classifier and oracle call them, and are re-exported here.
 
 No module-level cache exists: every function here builds the diagrams it
 reads afresh.  The oracle's per-run index, ``verify._Basis``, is the only
@@ -23,14 +25,9 @@ from .diagrams import (
     diagram_of_fc,
     top_arcs,
 )
+from .kostant import left_cell_involution, theta_nonzero  # noqa: F401
 from .laurent import LaurentPoly
-from .permutations import (
-    Permutation,
-    a_value,
-    enumerate_fc,
-    rs_inverse,
-    rs_tableaux,
-)
+from .permutations import Permutation, a_value, enumerate_fc
 
 _DELTA = LaurentPoly.delta()
 
@@ -183,34 +180,6 @@ def duflo_involution(cell) -> Permutation:
     if len(found) != 1:
         raise ValueError(f"expected exactly one involution, found {len(found)}")
     return found[0]
-
-
-def left_cell_involution(w: Permutation) -> Permutation:
-    """The Duflo involution of the left cell of w.
-
-    Same recording tableau as w, used as its insertion tableau too.  A w
-    that is not fully commutative is rejected by its RS shape: more than
-    two rows means a decreasing subsequence of length three.
-    """
-    q = rs_tableaux(w)[1]
-    if len(q.rows) > 2:
-        raise ValueError(f"{w.images} is not fully commutative")
-    return rs_inverse(q, q)
-
-
-def theta_nonzero(x: Permutation, y: Permutation) -> bool:
-    """Whether the translation functor of x keeps the simple of y alive.
-
-    Holds when every bottom arc of the diagram of x is a top arc of the
-    diagram of y (the bottom arcs of x are the top arcs of its flip).
-
-    >>> from .permutations import Permutation
-    >>> theta_nonzero(Permutation((1, 3, 2, 4)), Permutation((3, 4, 1, 2)))
-    True
-    >>> theta_nonzero(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
-    False
-    """
-    return bottom_arcs(diagram_of_fc(x)) <= top_arcs(diagram_of_fc(y))
 
 
 if __name__ == "__main__":

@@ -3,32 +3,23 @@
 Exit codes: 0 success, 1 verification found a discrepancy, 2 usage or
 validation error.  Output bytes are deterministic for a given command
 line; the worker count never changes them.
+
+Importing this module loads only the classifier's core.  Each command
+imports the leaf it needs (``verify``, ``counting``, ``algebra``, and
+``csv`` for CSV output) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from .algebra import cells as compute_cells
-from .counting import (
-    counts_by_bruteforce,
-    counts_by_formula,
-    counts_csv_rows,
-    counts_json_dict,
-    ratio_report,
-    ratios_csv_rows,
-    ratios_json_dict,
-    recursion_checks,
-)
 from .diagrams import diagram_of_fc, render_ascii, render_svg, to_json_dict
 from .kostant import is_kostant
 from .permutations import Permutation, Word, is_fully_commutative, word_to_permutation
-from .verify import summary_csv_rows, summary_json_dict, verify_classification
 
 BRUTE_CAP = 12
 VERIFY_CAP = 8
@@ -56,6 +47,8 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(sections: list[list[list]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for i, rows in enumerate(sections):
@@ -72,6 +65,11 @@ def _input_permutation(args) -> Permutation | str:
     try:
         if args.perm is not None:
             images = tuple(int(s) for s in args.perm.split(","))
+            if args.n is not None and args.n != len(images):
+                return (
+                    f"--n {args.n} does not match the rank {len(images)}"
+                    f" of --perm {args.perm}"
+                )
             return Permutation(images)
         if args.n is None:
             return "--word requires --n"
@@ -121,6 +119,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .counting import (
+        counts_by_bruteforce,
+        counts_by_formula,
+        counts_csv_rows,
+        counts_json_dict,
+        ratio_report,
+        ratios_csv_rows,
+        ratios_json_dict,
+        recursion_checks,
+    )
+
     if not 1 <= args.n <= ENUMERATE_CAP:
         return _fail(f"rank must be in 1..{ENUMERATE_CAP}, got {args.n}")
     if args.brute and args.n > BRUTE_CAP:
@@ -166,6 +175,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import summary_csv_rows, summary_json_dict, verify_classification
+
     if not 2 <= args.n <= VERIFY_CAP:
         return _fail(f"rank must be in 2..{VERIFY_CAP}, got {args.n}")
     if args.workers < 1:
@@ -197,9 +208,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_cells(args) -> int:
+    from .algebra import cells
+
     if not 1 <= args.n <= CELLS_CAP:
         return _fail(f"rank must be in 1..{CELLS_CAP}, got {args.n}")
-    partition = compute_cells(args.n, args.kind)
+    partition = cells(args.n, args.kind)
     listed = [sorted(list(w.images) for w in cell) for cell in partition]
     if args.format == "json":
         payload = {"n": args.n, "kind": args.kind, "cells": listed}

@@ -6,21 +6,26 @@ one through line?  A yes comes with a factorization of the involution
 case into pairwise distant nested-arc blocks; a no comes with a witness
 pair (x, y) built by the arc surgery of ``negative_witness``, two
 distinct elements the brute-force oracle cannot tell apart relative to w.
+
+The module also holds ``left_cell_involution``, the involution a negative
+witness is built from, and ``theta_nonzero``, the nonvanishing test the
+oracle filters by, so neither the classifier nor the oracle loads
+``algebra``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import left_cell_involution
 from .diagrams import (
     TLDiagram,
+    bottom_arcs,
     diagram_of_fc,
     fc_of_diagram,
     top_arcs,
     through_tops,
 )
-from .permutations import Permutation, Word, _Record
+from .permutations import Permutation, Word, _Record, rs_inverse, rs_tableaux
 
 
 class SpecialFactor(_Record):
@@ -136,6 +141,33 @@ def decompose_into_specials(d: Permutation):
             f"factor product {product.images} does not rebuild {d.images}"
         )
     return tuple(factors)
+
+
+def left_cell_involution(w: Permutation) -> Permutation:
+    """The Duflo involution of the left cell of w.
+
+    Same recording tableau as w, used as its insertion tableau too.  A w
+    that is not fully commutative is rejected by its RS shape: more than
+    two rows means a decreasing subsequence of length three.
+    """
+    q = rs_tableaux(w)[1]
+    if len(q.rows) > 2:
+        raise ValueError(f"{w.images} is not fully commutative")
+    return rs_inverse(q, q)
+
+
+def theta_nonzero(x: Permutation, y: Permutation) -> bool:
+    """Whether the translation functor of x keeps the simple of y alive.
+
+    Holds when every bottom arc of the diagram of x is a top arc of the
+    diagram of y (the bottom arcs of x are the top arcs of its flip).
+
+    >>> theta_nonzero(Permutation((1, 3, 2, 4)), Permutation((3, 4, 1, 2)))
+    True
+    >>> theta_nonzero(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+    False
+    """
+    return bottom_arcs(diagram_of_fc(x)) <= top_arcs(diagram_of_fc(y))
 
 
 class KostantVerdict(_Record):

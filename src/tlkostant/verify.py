@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import theta_nonzero
 from .diagrams import (
     TLDiagram,
     arc_count,
@@ -29,7 +28,7 @@ from .diagrams import (
     flip,
     top_arcs,
 )
-from .kostant import is_kostant
+from .kostant import is_kostant, theta_nonzero
 from .permutations import Permutation, _Record, a_value, enumerate_fc
 
 

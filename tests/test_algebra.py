@@ -22,10 +22,17 @@ from tlkostant import (
     theta_nonzero,
     top_arcs,
 )
+from tlkostant import algebra, kostant
 from tlkostant.algebra import leq_L, leq_R
 from tlkostant.verify import verify_classification
 
 DELTA = LaurentPoly.delta()
+
+
+def test_kostant_helpers_are_reexported():
+    # both live with the classifier that calls them; algebra keeps the names
+    assert algebra.theta_nonzero is kostant.theta_nonzero
+    assert algebra.left_cell_involution is kostant.left_cell_involution
 
 
 def gen(i, n):

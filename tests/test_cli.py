@@ -67,6 +67,24 @@ def test_classify_usage_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "render"])
+def test_perm_with_another_rank_is_rejected(command, capsys):
+    assert main([command, "--perm", "2,1", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --n 5 does not match the rank 2 of --perm 2,1\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["classify", "render"])
+def test_perm_with_its_own_rank_is_accepted(command, capsys):
+    assert main([command, "--perm", "3,4,1,2"]) == 0
+    plain = capsys.readouterr().out
+    assert main([command, "--perm", "3,4,1,2", "--n", "4"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_enumerate_with_brute_agreement():
     code, out, _ = run_cli("enumerate", "--n", "6", "--brute")
     assert code == 0
@@ -90,7 +108,7 @@ def test_enumerate_brute_cap_fires_before_counting(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("brute counts ran above the cap")
 
-    monkeypatch.setattr("tlkostant.cli.counts_by_bruteforce", unreachable)
+    monkeypatch.setattr("tlkostant.counting.counts_by_bruteforce", unreachable)
     assert main(["enumerate", "--n", "13", "--brute"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -108,7 +126,7 @@ def test_enumerate_brute_accepts_rank_twelve(monkeypatch, capsys):
         seen.append(n)
         return counts_by_formula(n)
 
-    monkeypatch.setattr("tlkostant.cli.counts_by_bruteforce", stand_in)
+    monkeypatch.setattr("tlkostant.counting.counts_by_bruteforce", stand_in)
     assert main(["enumerate", "--n", "12", "--brute"]) == 0
     assert seen == [12]
     assert json.loads(capsys.readouterr().out)["brute_matches"] is True
@@ -121,7 +139,7 @@ def test_enumerate_rank_cap(n, monkeypatch, capsys):
         raise AssertionError("a table was built outside the cap")
 
     for name in ("counts_by_formula", "recursion_checks", "ratio_report"):
-        monkeypatch.setattr(f"tlkostant.cli.{name}", unreachable)
+        monkeypatch.setattr(f"tlkostant.counting.{name}", unreachable)
     assert main(["enumerate", "--n", n]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -130,21 +148,20 @@ def test_enumerate_rank_cap(n, monkeypatch, capsys):
 
 def test_enumerate_accepts_rank_five_hundred(monkeypatch, capsys):
     # the cap's top rank reaches every table builder; the real recursions
-    # and ratios to rank 500 take seconds, so stand-ins build rank-3 ones
+    # and ratios to rank 500 take seconds, so stand-ins return rank-3 tables
+    # built before patching (ratio_report itself calls counts_by_formula)
     seen = []
+    tables = {real.__name__: real(3)
+              for real in (counts_by_formula, recursion_checks, ratio_report)}
 
-    def stand_in(real, small):
+    def stand_in(name):
         def build(n):
-            seen.append((real.__name__, n))
-            return real(small)
+            seen.append((name, n))
+            return tables[name]
         return build
 
-    monkeypatch.setattr("tlkostant.cli.counts_by_formula",
-                        stand_in(counts_by_formula, 3))
-    monkeypatch.setattr("tlkostant.cli.recursion_checks",
-                        stand_in(recursion_checks, 3))
-    monkeypatch.setattr("tlkostant.cli.ratio_report",
-                        stand_in(ratio_report, 3))
+    for name in tables:
+        monkeypatch.setattr(f"tlkostant.counting.{name}", stand_in(name))
     assert main(["enumerate", "--n", "500"]) == 0
     assert sorted(seen) == [("counts_by_formula", 500),
                             ("ratio_report", 500), ("recursion_checks", 500)]
@@ -208,7 +225,7 @@ def test_verify_discrepancy_exits_one(monkeypatch, capsys):
     )
     fake = VerifySummary(2, 5, (bad,))
     monkeypatch.setattr(
-        "tlkostant.cli.verify_classification", lambda *a, **k: fake
+        "tlkostant.verify.verify_classification", lambda *a, **k: fake
     )
     assert main(["verify", "--n", "2"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -266,26 +283,36 @@ def test_cells_rank_cap(n, monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("cells enumerated above the cap")
 
-    monkeypatch.setattr("tlkostant.cli.compute_cells", unreachable)
+    monkeypatch.setattr("tlkostant.algebra.cells", unreachable)
     assert main(["cells", "--n", n]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: rank must be in 1..12, got {n}\n"
 
 
-def _loaded_by_cli_import(modules):
-    # which of modules a fresh interpreter holds after `import tlkostant.cli`
+def _fresh(code):
+    # stdout of code run by a fresh interpreter that imports this checkout
     src = pathlib.Path(tlkostant.__file__).parents[1]
-    probe = (
-        "import sys, tlkostant.cli; "
-        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
+        [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _loaded_by_cli_import(modules, then=""):
+    # which of modules have run in a fresh interpreter after
+    # `import tlkostant.cli` and the statements in then; a leaf that is
+    # registered but has not run yet is a LazyLoader placeholder, whose
+    # type is not ModuleType until its first attribute access
+    probe = (
+        "import json, sys, types, tlkostant.cli\n"
+        f"{then}\n"
+        f"print(json.dumps(sorted(m for m in {tuple(modules)!r}"
+        " if type(sys.modules.get(m)) is types.ModuleType)))"
+    )
+    return json.loads(_fresh(probe).splitlines()[-1])
 
 
 def test_cli_import_loads_no_pool_or_dataclasses():
@@ -293,13 +320,75 @@ def test_cli_import_loads_no_pool_or_dataclasses():
     # `python -X importtime`; only verify with workers above 1 loads the pool
     assert _loaded_by_cli_import(
         ("concurrent.futures", "multiprocessing", "dataclasses")
-    ) == "[]\n"
+    ) == []
 
 
 def test_cli_import_loads_no_fractions():
     # only enumerate's ratio table builds a Fraction; fractions pulls in
     # decimal and numbers, about 2 ms of every other command's start-up
-    assert _loaded_by_cli_import(("fractions", "decimal")) == "[]\n"
+    assert _loaded_by_cli_import(("fractions", "decimal")) == []
+
+
+LEAVES = ("tlkostant.algebra", "tlkostant.counting", "tlkostant.laurent",
+          "tlkostant.verify")
+
+
+def test_cli_import_runs_no_leaf_module():
+    # the classifier's core is all a start-up compiles; the cross-checks
+    # and csv load with the command that needs them
+    assert _loaded_by_cli_import((*LEAVES, "csv")) == []
+
+
+def test_classify_runs_no_leaf_module():
+    then = "tlkostant.cli.main(['classify', '--perm', '3,4,1,2'])"
+    assert _loaded_by_cli_import((*LEAVES, "csv"), then) == []
+
+
+def test_enumerate_runs_only_its_leaves():
+    # the control: a command that needs leaves does load them
+    then = "tlkostant.cli.main(['enumerate', '--n', '3', '--format', 'csv'])"
+    assert _loaded_by_cli_import((*LEAVES, "csv"), then) == [
+        "csv", "tlkostant.counting", "tlkostant.laurent",
+    ]
+
+
+def test_lazy_names_are_their_defining_modules_objects():
+    probe = """
+import sys, tlkostant
+assert set(tlkostant.__all__) <= set(dir(tlkostant))
+bound = dict(vars(tlkostant))
+for name in tlkostant.__all__:
+    obj = getattr(tlkostant, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+# resolving a leaf name binds nothing new in the package namespace
+assert vars(tlkostant) == bound
+print("ok")
+"""
+    assert _fresh(probe) == "ok\n"
+
+
+def test_star_import_binds_all_names():
+    probe = """
+import tlkostant
+names = {}
+exec("from tlkostant import *", names)
+assert set(tlkostant.__all__) <= set(names), set(tlkostant.__all__) - set(names)
+print(len(tlkostant.__all__))
+"""
+    assert _fresh(probe) == f"{len(tlkostant.__all__)}\n"
+
+
+def test_leaf_submodule_and_unknown_name():
+    probe = """
+import sys, tlkostant
+f = tlkostant.verify.verify_classification
+assert f is sys.modules["tlkostant.verify"].verify_classification
+try:
+    tlkostant.nope
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh(probe) == "module 'tlkostant' has no attribute 'nope'\n"
 
 
 def test_unknown_subcommand_fails():
