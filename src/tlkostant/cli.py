@@ -1,8 +1,9 @@
 """Command-line surface: classify, enumerate, verify, render, cells.
 
 Exit codes: 0 success, 1 verification found a discrepancy, 2 usage or
-validation error.  Output bytes are deterministic for a given command
-line; the worker count never changes them.
+validation error, including an ``--out`` path that cannot be written.
+Output bytes are deterministic for a given command line; the worker
+count never changes them.
 
 Importing this module loads only the classifier's core.  Each command
 imports the leaf it needs (``verify``, ``counting``, ``algebra``, and
@@ -32,12 +33,21 @@ def _fail(message: str) -> int:
     return 2
 
 
+class _WriteError(Exception):
+    """``--out`` could not be written; ``main`` reports it and exits 2."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _WriteError(
+                f"cannot write {out}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
 
@@ -58,13 +68,22 @@ def _csv_text(sections: list[list[list]]) -> str:
     return buf.getvalue()
 
 
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"{flag} {text} is not a comma-separated list of integers"
+        ) from None
+
+
 def _input_permutation(args) -> Permutation | str:
     """The permutation named by --perm or --word, or an error string."""
     if (args.perm is None) == (args.word is None):
         return "exactly one of --perm and --word is required"
     try:
         if args.perm is not None:
-            images = tuple(int(s) for s in args.perm.split(","))
+            images = _int_list("--perm", args.perm)
             if args.n is not None and args.n != len(images):
                 return (
                     f"--n {args.n} does not match the rank {len(images)}"
@@ -73,7 +92,7 @@ def _input_permutation(args) -> Permutation | str:
             return Permutation(images)
         if args.n is None:
             return "--word requires --n"
-        letters = tuple(int(s) for s in args.word.split(","))
+        letters = _int_list("--word", args.word)
         return word_to_permutation(Word(args.n, letters))
     except ValueError as exc:
         return str(exc)
@@ -278,7 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _WriteError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -127,6 +127,9 @@ def counts_by_bruteforce(n: int) -> CountTable:
     count is the a-value, and ``kostant._separated`` of it is the verdict,
     the same predicate ``is_kostant`` decides with.  Only the verdict is
     read, so no witness is built.  Elements are streamed, not listed.
+    Neither the elements nor their diagrams are re-validated: the
+    enumerator and ``diagram_of_fc`` build them unchecked, as their
+    docstrings justify, so each is validated once, by construction.
 
     >>> counts_by_bruteforce(4) == counts_by_formula(4)
     True

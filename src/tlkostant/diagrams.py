@@ -53,6 +53,22 @@ class TLDiagram:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_hash", hash((n, pairs)))
 
+    @classmethod
+    def _trusted(cls, n: int, pairs: tuple[int, ...]) -> TLDiagram:
+        """The diagram of a matching its producer has proved valid, unchecked.
+
+        Sets the same attributes and hash as ``TLDiagram(n, pairs)`` but
+        runs none of its range, involution and planarity checks, so
+        ``pairs`` must already be a tuple that passes them.  Only
+        ``diagram_of_fc`` calls it; its docstring says why its matching
+        is valid.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "pairs", pairs)
+        object.__setattr__(d, "_hash", hash((n, pairs)))
+        return d
+
     def __setattr__(self, name, value):
         raise AttributeError("TLDiagram is immutable")
 
@@ -272,6 +288,18 @@ def diagram_of_fc(p: Permutation) -> TLDiagram:
     the top and bottom positions left unmatched are joined in order by
     through strands.
 
+    The result is built without ``TLDiagram``'s checks, because it is a
+    planar matching by construction.  P and Q are standard tableaux of
+    one shape (n - a, a) with at most two rows (a non-FC input is
+    rejected first, by its RS shape).  In a standard tableau every
+    prefix 1..k holds at least as many first-row entries as second-row
+    ones, so each second-row entry finds an open position to its left,
+    and matching it to the nearest one nests arcs without crossing them.
+    Every position inside an arc is matched inside it, so the n - 2a
+    positions left open on each side lie outside every arc, and joining
+    them in order crosses nothing.  Each slot gets exactly one partner,
+    in range and symmetric.
+
     >>> diagram_of_fc(Permutation((3, 4, 1, 2))).pairs
     (3, 2, 1, 0, 7, 6, 5, 4)
     """
@@ -284,7 +312,7 @@ def diagram_of_fc(p: Permutation) -> TLDiagram:
     free_bottom = _match_second_row(p_tab, pairs, n)
     for t, b in zip(free_top, free_bottom):
         pairs[t], pairs[b] = b, t
-    return TLDiagram(n, pairs)
+    return TLDiagram._trusted(n, tuple(pairs))
 
 
 def _matched_rows(arc_ends, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

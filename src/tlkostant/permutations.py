@@ -115,6 +115,19 @@ class Permutation(_Record):
             seen[v] = True
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """The permutation of images its producer has proved valid, unchecked.
+
+        Sets the same attribute as ``Permutation(images)`` without its
+        range and repeat checks, so ``images`` must already be a tuple
+        holding each of 1..n once.  Only ``_fc_elements`` calls it; its
+        docstring says why its words qualify.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not Permutation:
             return NotImplemented
@@ -414,6 +427,12 @@ def _fc_elements(n: int) -> Iterator[Permutation]:
     value undercuts an existing descent; both reduce to: append either a
     new maximum, or the smallest unused value provided it clears `bound`
     (the largest value already preceded by something bigger).
+
+    Each yielded word is a permutation by construction, so it is built
+    without ``Permutation``'s checks: every value appended is either
+    above all used values (a new maximum, at most n) or the smallest
+    unused one, so the n values of a full word are distinct and lie in
+    1..n.
     """
     prefix: list[int] = []
     used = [False] * (n + 2)
@@ -431,7 +450,7 @@ def _fc_elements(n: int) -> Iterator[Permutation]:
         prefix.append(v)
         used[v] = True
         if len(prefix) == n:
-            yield Permutation(tuple(prefix))
+            yield Permutation._trusted(tuple(prefix))
             continue
         smallest = used.index(False, 1)
         nxt = [(u, u, bound) for u in range(n, prefix_max, -1)]

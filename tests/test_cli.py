@@ -77,6 +77,35 @@ def test_perm_with_another_rank_is_rejected(command, capsys):
     )
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["classify", "--perm", "1,,2"], "--perm 1,,2"),
+    (["render", "--perm", "1,x,2"], "--perm 1,x,2"),
+    (["classify", "--word", "2,,1", "--n", "4"], "--word 2,,1"),
+])
+def test_malformed_integer_list_names_the_flag(argv, shown, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {shown} is not a comma-separated list of integers\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--perm", "1,2,3"],
+    ["verify", "--n", "3", "--workers", "1"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # exit 2, not a traceback: for verify, exit 1 would mean a discrepancy
+    target = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write {target}: No such file or directory\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["classify", "render"])
 def test_perm_with_its_own_rank_is_accepted(command, capsys):
     assert main([command, "--perm", "3,4,1,2"]) == 0

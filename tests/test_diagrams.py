@@ -4,10 +4,11 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tlkostant import (
     Permutation,
+    Tableau,
     TLDiagram,
     a_value,
     arc_count,
@@ -25,6 +26,7 @@ from tlkostant import (
     render_ascii,
     render_svg,
     reduced_word,
+    rs_inverse,
     top_arcs,
 )
 from tlkostant.diagrams import from_json_dict, through_tops, to_json_dict
@@ -164,6 +166,52 @@ def test_every_planar_matching_is_an_fc_diagram(n):
 def test_diagram_of_fc_rejects_non_fc():
     with pytest.raises(ValueError):
         diagram_of_fc(Permutation((3, 2, 1)))
+
+
+def assert_passes_public_checks(d):
+    checked = TLDiagram(d.n, d.pairs)
+    assert type(d) is TLDiagram and type(d.pairs) is tuple
+    assert checked == d and hash(checked) == hash(d)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_diagram_of_fc_passes_the_public_checks(n):
+    # diagram_of_fc builds its result unchecked; TLDiagram(...) must accept it
+    for p in enumerate_fc(n):
+        assert_passes_public_checks(diagram_of_fc(p))
+
+
+@st.composite
+def large_fc_elements(draw):
+    # a two-row shape (n - a, a), two standard tableaux of it drawn as
+    # ballot sequences, and the FC element inverse RS makes of them
+    n = draw(st.integers(min_value=20, max_value=200))
+    a = draw(st.integers(min_value=0, max_value=n // 2))
+
+    def tableau():
+        first, second = [], []
+        wishes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        for k, wants_second in enumerate(wishes, start=1):
+            # row 2 stays shorter than row 1 and at most a long; row 1 at
+            # most n - a long
+            if len(first) == n - a or (
+                wants_second and len(second) < min(a, len(first))
+            ):
+                second.append(k)
+            else:
+                first.append(k)
+        return Tableau((first, second) if second else (first,))
+
+    return rs_inverse(tableau(), tableau())
+
+
+@settings(deadline=None)
+@given(large_fc_elements())
+def test_diagram_of_fc_passes_the_public_checks_at_large_rank(w):
+    d = diagram_of_fc(w)
+    assert_passes_public_checks(d)
+    assert arc_count(d) == a_value(w)
+    assert fc_of_diagram(d) == w
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -17,6 +17,7 @@ from tlkostant import (
     rs_tableaux,
     word_to_permutation,
 )
+from tlkostant.permutations import _fc_elements
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(range(1, n + 1))
@@ -114,6 +115,16 @@ def test_enumerate_fc_matches_filter(n):
     got = [p.images for p in enumerate_fc(n)]
     assert got == sorted(got)
     assert got == expected
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fc_enumerator_yields_checked_permutations(n):
+    # _fc_elements builds its words unchecked; Permutation(...) must accept
+    # each one as an equal value
+    for w in _fc_elements(n):
+        checked = Permutation(w.images)
+        assert type(w) is Permutation and type(w.images) is tuple
+        assert checked == w and hash(checked) == hash(w)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
