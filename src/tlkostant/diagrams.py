@@ -59,9 +59,9 @@ class TLDiagram:
 
         Sets the same attributes and hash as ``TLDiagram(n, pairs)`` but
         runs none of its range, involution and planarity checks, so
-        ``pairs`` must already be a tuple that passes them.  Only
-        ``diagram_of_fc`` calls it; its docstring says why its matching
-        is valid.
+        ``pairs`` must already be a tuple that passes them.  Its callers
+        are ``generator``, ``compose``, ``flip`` and ``diagram_of_fc``;
+        each docstring says why its matching is valid.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "n", n)
@@ -135,13 +135,29 @@ def identity_diagram(n: int) -> TLDiagram:
 
 
 def generator(i: int, n: int) -> TLDiagram:
-    """The diagram with a top arc and a bottom arc at (i, i+1)."""
+    """The diagram with a top arc and a bottom arc at (i, i+1).
+
+    The result is built without ``TLDiagram``'s checks: once ``i`` is
+    known to lie in 1..n-1, it is one fixed pattern, two arcs joining
+    neighbours and vertical strands everywhere else, which nothing
+    crosses.
+    """
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} not in 1..{n - 1}")
     pairs = list(range(n, 2 * n)) + list(range(n))
     pairs[i - 1], pairs[i] = i, i - 1
     pairs[n + i - 1], pairs[n + i] = n + i, n + i - 1
-    return TLDiagram(n, tuple(pairs))
+    return TLDiagram._trusted(n, tuple(pairs))
+
+
+def _require_diagram(name: str, value) -> None:
+    # the trusted producers below are valid only on valid input, and only
+    # the public constructor proves that, so duck-typed look-alikes are
+    # turned away
+    if not isinstance(value, TLDiagram):
+        raise TypeError(
+            f"{name} must be a TLDiagram, got {type(value).__name__}"
+        )
 
 
 def compose(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]:
@@ -152,7 +168,20 @@ def compose(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]:
     0
     >>> compose(d, generator(1, 3)) == (generator(1, 3), 0)
     True
+
+    The result is built without ``TLDiagram``'s checks, because it is a
+    planar matching by construction (the link-state calculus of Ridout
+    and Saint-Aubin).  Two noncrossing matchings drawn in stacked
+    rectangles make a drawing without crossings, so the matching it
+    induces on the outer nodes is planar.  Every node has one partner
+    in each factor, so every glued node lies on exactly one strand or
+    one closed loop, and a strand that starts at an outer node ends at
+    another one: each outer slot gets exactly one partner, in range and
+    symmetric.  Both factors must be ``TLDiagram`` instances, which the
+    public constructor has checked; anything else raises ``TypeError``.
     """
+    _require_diagram("top", top)
+    _require_diagram("bottom", bottom)
     if top.n != bottom.n:
         raise ValueError(f"rank mismatch: {top.n} != {bottom.n}")
     n = top.n
@@ -201,7 +230,7 @@ def compose(top: TLDiagram, bottom: TLDiagram) -> tuple[TLDiagram, int]:
             via_top = not via_top
             if j == j0 and via_top:
                 break
-    return TLDiagram(n, tuple(result)), loops
+    return TLDiagram._trusted(n, tuple(result)), loops
 
 
 def flip(d: TLDiagram) -> TLDiagram:
@@ -209,13 +238,19 @@ def flip(d: TLDiagram) -> TLDiagram:
 
     For fully commutative p, ``flip(diagram_of_fc(p))`` is the diagram of
     the inverse of p.
+
+    The result is built without ``TLDiagram``'s checks: swapping the rows
+    is a bijection of the slots, so it maps a fixed-point-free involution
+    to one, and the mirror image of a planar matching is planar.  ``d``
+    must be a ``TLDiagram``; anything else raises ``TypeError``.
     """
+    _require_diagram("d", d)
     n = d.n
     swap = lambda s: s + n if s < n else s - n  # noqa: E731
     pairs = [0] * (2 * n)
     for s, p in enumerate(d.pairs):
         pairs[swap(s)] = swap(p)
-    return TLDiagram(n, tuple(pairs))
+    return TLDiagram._trusted(n, tuple(pairs))
 
 
 def arcs(

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tlkostant import (
     Permutation,
@@ -23,11 +23,14 @@ from tlkostant import (
     generator,
     identity_diagram,
     is_fully_commutative,
+    is_kostant,
+    left_cell_involution,
     render_ascii,
     render_svg,
     reduced_word,
     rs_inverse,
     top_arcs,
+    witness_postconditions,
 )
 from tlkostant.diagrams import from_json_dict, through_tops, to_json_dict
 
@@ -56,6 +59,57 @@ def all_planar_matchings(n):
         for a, b in matching:
             pairs[a], pairs[b] = b, a
         yield TLDiagram(n, pairs)
+
+
+def reference_compose(top, bottom):
+    """The checked stacking that ``compose`` replaced: the same strand
+    walk, but the product goes through the public constructor, so it is
+    rejected unless it is a planar matching."""
+    n = top.n
+    tp, bp = top.pairs, bottom.pairs
+    visited = [False] * n
+    result = [-1] * (2 * n)
+
+    def trace(in_top, slot):
+        while True:
+            if in_top:
+                p = tp[slot]
+                if p < n:
+                    return p
+                j = p - n
+                visited[j] = True
+                in_top, slot = False, j
+            else:
+                q = bp[slot]
+                if q >= n:
+                    return q
+                visited[q] = True
+                in_top, slot = True, n + q
+
+    for k in range(n):
+        if result[k] == -1:
+            other = trace(True, k)
+            result[k] = other
+            result[other] = k
+    for k in range(n, 2 * n):
+        if result[k] == -1:
+            other = trace(False, k)
+            result[k] = other
+            result[other] = k
+
+    loops = 0
+    for j0 in range(n):
+        if visited[j0]:
+            continue
+        loops += 1
+        j, via_top = j0, True
+        while True:
+            visited[j] = True
+            j = tp[n + j] - n if via_top else bp[j]
+            via_top = not via_top
+            if j == j0 and via_top:
+                break
+    return TLDiagram(n, tuple(result)), loops
 
 
 def all_reduced_words(p):
@@ -181,11 +235,16 @@ def test_diagram_of_fc_passes_the_public_checks(n):
         assert_passes_public_checks(diagram_of_fc(p))
 
 
+large_ranks = st.integers(min_value=20, max_value=200)
+
+
 @st.composite
-def large_fc_elements(draw):
+def large_fc_elements(draw, n=None):
     # a two-row shape (n - a, a), two standard tableaux of it drawn as
-    # ballot sequences, and the FC element inverse RS makes of them
-    n = draw(st.integers(min_value=20, max_value=200))
+    # ballot sequences, and the FC element inverse RS makes of them; the
+    # rank is drawn from large_ranks unless given
+    if n is None:
+        n = draw(large_ranks)
     a = draw(st.integers(min_value=0, max_value=n // 2))
 
     def tableau():
@@ -214,10 +273,88 @@ def test_diagram_of_fc_passes_the_public_checks_at_large_rank(w):
     assert fc_of_diagram(d) == w
 
 
+@st.composite
+def large_fc_pairs(draw):
+    # two elements of one large rank, so their diagrams can be stacked
+    n = draw(large_ranks)
+    return draw(large_fc_elements(n)), draw(large_fc_elements(n))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_flip_matches_inverse(n):
+    # flip builds its result unchecked; TLDiagram(...) must accept it
     for p in enumerate_fc(n):
-        assert flip(diagram_of_fc(p)) == diagram_of_fc(p.inverse())
+        flipped = flip(diagram_of_fc(p))
+        assert_passes_public_checks(flipped)
+        assert flipped == diagram_of_fc(p.inverse())
+
+
+@settings(deadline=None)
+@given(large_fc_elements())
+def test_flip_matches_inverse_at_large_rank(w):
+    flipped = flip(diagram_of_fc(w))
+    assert_passes_public_checks(flipped)
+    assert flipped == diagram_of_fc(w.inverse())
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_generator_passes_the_public_checks(n):
+    # generator builds its result unchecked; it must be the diagram of the
+    # simple transposition s_i
+    for i in range(1, n):
+        d = generator(i, n)
+        assert_passes_public_checks(d)
+        images = list(range(1, n + 1))
+        images[i - 1], images[i] = i + 1, i
+        assert d == diagram_of_fc(Permutation(tuple(images)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_compose_matches_the_checked_reference(n):
+    # compose builds its result unchecked; over every pair of planar
+    # matchings TLDiagram(...) must accept it, and it must equal the
+    # checked reference with the same loop count
+    basis = list(all_planar_matchings(n))
+    for top, bottom in itertools.product(basis, repeat=2):
+        d, loops = compose(top, bottom)
+        assert_passes_public_checks(d)
+        assert (d, loops) == reference_compose(top, bottom)
+
+
+@settings(deadline=None)
+@given(large_fc_pairs())
+def test_compose_matches_the_checked_reference_at_large_rank(pair):
+    top, bottom = map(diagram_of_fc, pair)
+    d, loops = compose(top, bottom)
+    assert_passes_public_checks(d)
+    assert (d, loops) == reference_compose(top, bottom)
+
+
+@settings(deadline=None)
+@given(large_fc_elements())
+def test_negative_witness_meets_its_contract_at_large_rank(w):
+    # witness_postconditions stacks compose(flip(ex), ey) at large rank
+    verdict = is_kostant(w)
+    assume(not verdict.positive)
+    d = left_cell_involution(w)
+    assert witness_postconditions(d, *verdict.witness) == ()
+
+
+class LookAlike:
+    # has the attributes compose and flip read, but no checked matching
+    def __init__(self, d):
+        self.n, self.pairs = d.n, d.pairs
+
+
+@pytest.mark.parametrize("bad", ["x", None, LookAlike(generator(1, 3))])
+def test_compose_and_flip_reject_non_diagrams(bad):
+    e1 = generator(1, 3)
+    with pytest.raises(TypeError, match="top must be a TLDiagram"):
+        compose(bad, e1)
+    with pytest.raises(TypeError, match="bottom must be a TLDiagram"):
+        compose(e1, bad)
+    with pytest.raises(TypeError, match="d must be a TLDiagram"):
+        flip(bad)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
